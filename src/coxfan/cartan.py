@@ -7,7 +7,7 @@ guarantees it, Fraction otherwise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -79,6 +79,9 @@ class CartanDatum:
     cartan: tuple
     symmetrizer: tuple
     components: tuple
+    # For a restriction: the unrestricted datum's label and this datum's nodes in it.
+    base_label: str = field(default=None, compare=False, repr=False)
+    base_nodes: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -102,10 +105,20 @@ class CartanDatum:
         raise CartanError(f"node {i} out of range")
 
     def restrict(self, nodes: tuple) -> "CartanDatum":
-        """Sub-datum on the given nodes (kept in ascending order, re-indexed from 0)."""
+        """Sub-datum on the given nodes (kept in ascending order, re-indexed from 0).
+
+        Restrictions compose: the label names the nodes of the unrestricted
+        datum, so d.restrict(J).restrict(K) == d.restrict(J[k] for k in K).
+        """
         nodes = tuple(sorted(nodes))
         sub = tuple(tuple(self.cartan[i][j] for j in nodes) for i in nodes)
-        return datum_from_matrix(sub, label=f"{self.label}[{','.join(str(i + 1) for i in nodes)}]")
+        if self.base_nodes is None:
+            base_label, base_nodes = self.label, nodes
+        else:
+            base_label, base_nodes = self.base_label, tuple(self.base_nodes[i] for i in nodes)
+        label = f"{base_label}[{','.join(str(i + 1) for i in base_nodes)}]"
+        return replace(datum_from_matrix(sub, label=label),
+                       base_label=base_label, base_nodes=base_nodes)
 
     def __repr__(self):
         return f"CartanDatum({self.label!r})"

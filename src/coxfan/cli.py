@@ -54,7 +54,12 @@ def _parse_coxeter(datum, text):
 def _parse_f(datum, text):
     if text is None or text == "default":
         return default_f(datum)
-    vals = tuple(Fraction(x) for x in text.split(","))
+    try:
+        vals = tuple(Fraction(x) for x in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise PolytopeError(f"cannot parse f {text!r}")
+    if len(vals) != datum.n:
+        raise PolytopeError("f has the wrong arity")
     problem = violated_condition(datum, vals)
     if problem:
         raise PolytopeError(f"invalid f: violated condition {problem}")
@@ -71,11 +76,6 @@ def _emit(args, text):
 
 def _json_dump(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def _frac_str(x) -> str:
-    fr = Fraction(x)
-    return f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 else str(fr.numerator)
 
 
 def cmd_orbits(args) -> int:
@@ -301,6 +301,16 @@ def cmd_exchange_graph(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="coxfan",
                                  description="Exact cluster fans and generalized associahedra")
@@ -336,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-coxeter", action="store_true")
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=1000)
+    p.add_argument("--points", type=_positive_int, default=1000)
     p.add_argument("--random-f", type=int, default=20)
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--output")

@@ -344,12 +344,6 @@ class ClusterModel:
             out = vec_add(out, tuple(coeff * x for x in self.labels[self.tau(idx, exponent)].root))
         return out
 
-    def tau_extend_weight(self, exponent: int, mu: tuple) -> tuple:
-        out = (0,) * self.n
-        for idx, coeff in self.expand_weight(mu).items():
-            out = vec_add(out, tuple(coeff * x for x in self.labels[self.tau(idx, exponent)].weight))
-        return out
-
     def uplus(self, a: int, b: int):
         """The companion of a+b in the tau-orbit of pairwise sums of an exchangeable pair.
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cartan import CartanDatum
-from .linalg import solve_exact, solve_fraction_free, vec_dot
+from .linalg import solve_fraction_free, vec_dot
 from .model import ClusterModel
 from .weyl import singletons
 
@@ -204,14 +204,6 @@ def vertices(model: ClusterModel, hrep: HRep) -> VRep:
     clusters = model.clusters()
     edge_list = tuple(sorted((c1, c2) for (c1, c2, _, _) in model.adjacent_cluster_pairs()))
     return VRep(tuple(verts), tuple(clusters), edge_list)
-
-
-def support_function_value(model: ClusterModel, f: SupportData, point_root: tuple) -> Fraction:
-    """F_c evaluated through the cluster expansion (root-side input)."""
-    total = Fraction(0)
-    for idx, coeff in model.expand_root(point_root).items():
-        total += coeff * f[model.labels[idx].node]
-    return total
 
 
 def verify_support_function(model: ClusterModel, f: SupportData, vrep: VRep) -> list:

@@ -14,6 +14,7 @@ from .linalg import bareiss_det
 from .model import BipartiteOracle, ClusterModel, bar_map, build_model, cone_membership, iota_map, sigma_map
 from .mutation import exchange_graph, verify_exchange_relations
 from .polytope import (
+    PolytopeError,
     build_hrep,
     cambrian_rays,
     check_polytopality,
@@ -26,6 +27,7 @@ from .polytope import (
 )
 from .weyl import (
     CoxeterElement,
+    WeylError,
     c_sorting_word,
     enumerate_group,
     is_antisortable,
@@ -122,7 +124,7 @@ def suite_polytope(datum: CartanDatum, c: CoxeterElement, random_fs: int = 20, s
         hrep = build_hrep(model, f)
         try:
             vrep = vertices(model, hrep)   # raises unless every vertex is simple
-        except Exception:
+        except PolytopeError:
             simple_ok = False
             continue
         if verify_support_function(model, f, vrep):
@@ -197,7 +199,7 @@ def suite_sorting(datum: CartanDatum, c: CoxeterElement, seed: int = 0,
     results.append(_check("singletons-prefixes", True, f"{len(sing)} c-singletons"))
     try:
         group = enumerate_group(datum, cap=brute_force_cap)
-    except Exception:
+    except WeylError:
         group = None
     if group is not None:
         brute = {w.mw for w in group if is_sortable(c, w) and is_antisortable(c, w)}

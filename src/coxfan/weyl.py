@@ -57,6 +57,8 @@ def identity_element(datum: CartanDatum) -> WeylElement:
 @lru_cache(maxsize=None)
 def simple_reflection(datum: CartanDatum, i: int) -> WeylElement:
     n = datum.n
+    if not 0 <= i < n:
+        raise WeylError(f"s{i + 1} is not a simple reflection of {datum.label}")
     mw = tuple(
         tuple((1 if k == j else 0) - (datum.cartan[k][i] if j == i else 0) for j in range(n))
         for k in range(n)

@@ -203,3 +203,28 @@ def test_symmetrized_matrix_positive_definite():
         assert sym == tuple(zip(*sym))
         for k in range(1, d.n + 1):
             assert bareiss_det(tuple(row[:k] for row in sym[:k])) > 0
+
+
+def _subsets(items):
+    return [tuple(x for b, x in enumerate(items) if mask >> b & 1)
+            for mask in range(1, 1 << len(items))]
+
+
+def test_restrict_composes_with_canonical_label():
+    # A sub-diagram reached by two restriction paths is one datum with one label.
+    for label in ("A4", "B4", "D5", "F4", "E6"):
+        d = make_datum(label)
+        for J in _subsets(tuple(range(d.n))):
+            dj = d.restrict(J)
+            assert dj.label == f"{label}[{','.join(str(i + 1) for i in J)}]"
+            for K in _subsets(tuple(range(len(J)))):
+                direct = d.restrict(tuple(J[k] for k in K))
+                twice = dj.restrict(K)
+                assert twice == direct and hash(twice) == hash(direct)
+                assert twice.label == direct.label
+                assert twice.cartan == direct.cartan
+
+
+def test_restrict_label_example():
+    d = make_datum("E8")
+    assert d.restrict((0, 1, 3, 4)).restrict((0, 2)).label == "E8[1,4]"

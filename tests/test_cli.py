@@ -247,3 +247,27 @@ def test_unknown_suite_exits_2(capsys):
     with _pytest.raises(SystemExit) as exc:
         main(["verify", "A2", "--suite", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_sorting_word_letter_out_of_range_exits_2(capsys):
+    code, out, err = run(capsys, "sorting-word", "A3", "--word", "0,5")
+    assert code == 2 and out == "" and "error" in err
+    code, _, _ = run(capsys, "sorting-word", "A3", "--word", "4")
+    assert code == 2
+
+
+def test_polytope_unparsable_f_exits_2(capsys):
+    for bad in ("1/0,1", "abc,1", "1"):
+        code, out, err = run(capsys, "polytope", "A2", "--f", bad)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_points_must_be_positive(capsys):
+    import pytest as _pytest
+
+    for bad in ("-5", "0", "x"):
+        with _pytest.raises(SystemExit) as exc:
+            main(["verify", "A2", "--suite", "fan", "--points", bad])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from coxfan.cartan import generate_roots, make_datum
 from coxfan.linalg import bareiss_det
 from coxfan.model import (
     BipartiteOracle,
+    ClusterModel,
     ModelError,
     bar_map,
     build_model,
@@ -447,3 +448,43 @@ def test_b2_hand_computed_golden():
     assert m.compat(0, 4) == 1 and m.compat(4, 0) == 2
     exchanged = {tuple(sorted((a, b))) for (_, _, a, b) in m.adjacent_cluster_pairs()}
     assert (0, 4) not in exchanged and (1, 5) not in exchanged and (2, 3) not in exchanged
+
+
+def _subsets(n):
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
+
+
+def _reachable_submodels(model):
+    seen, stack = {}, [model]
+    while stack:
+        for sub, _, _ in stack.pop()._restrictions.values():
+            if id(sub) not in seen:
+                seen[id(sub)] = sub
+                stack.append(sub)
+    return list(seen.values())
+
+
+def test_restriction_of_restriction_is_shared():
+    # One sub-model per node subset, whichever recursion path reaches it, and
+    # the twisted inclusions compose.
+    for label, order in (("B4", (2, 0, 3, 1)), ("E6", tuple(range(6)))):
+        d = make_datum(label)
+        m = build_model(d, coxeter_from_order(d, order))
+        for J in _subsets(d.n):
+            sub_j, emb_j, _ = m.restriction(J)
+            for K in _subsets(len(J)):
+                sub_k, emb_k, _ = sub_j.restriction(K)
+                direct, emb_direct, _ = m.restriction(tuple(J[k] for k in K))
+                assert sub_k is direct
+                assert tuple(emb_j[x] for x in emb_k) == emb_direct
+
+
+def test_expansion_stream_builds_one_model_per_subdiagram():
+    d = make_datum("E6")
+    m = ClusterModel(d, coxeter_from_order(d, tuple(range(6))))
+    rng = random.Random(6)
+    for _ in range(500):
+        m.expand_root(tuple(rng.randint(-20, 20) for _ in range(6)))
+    subs = _reachable_submodels(m)
+    assert subs
+    assert len({s.datum for s in subs}) == len(subs) <= 2 ** 6

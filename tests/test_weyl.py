@@ -398,3 +398,10 @@ def test_singletons_match_brute_force_rank4():
         for c in picked:
             brute = {w.mw for w in group if is_sortable(c, w) and is_antisortable(c, w)}
             assert {w.mw for w in singletons(c)} == brute, (label, c.order)
+
+
+def test_simple_reflection_rejects_out_of_range_nodes():
+    d = make_datum("A3")
+    for i in (-1, 3):
+        with pytest.raises(WeylError):
+            simple_reflection(d, i)
