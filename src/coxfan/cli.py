@@ -7,12 +7,13 @@ invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .cartan import CartanError, fmt_combo, make_datum
+from .jsonout import write_json
 from .model import build_model
 from .mutation import MutationError, exchange_graph, exchange_graph_json
 from .polytope import (
@@ -66,16 +67,24 @@ def _parse_f(datum, text):
     return SupportData.make(datum, vals)
 
 
-def _emit(args, text):
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+@contextmanager
+def _sink(path):
+    """The write function of the --output file, or of stdout when there is none."""
+    if path:
+        with open(path, "w") as fh:
+            yield fh.write
     else:
-        sys.stdout.write(text)
+        yield sys.stdout.write
 
 
-def _json_dump(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+def _emit(args, text):
+    with _sink(args.output) as write:
+        write(text)
+
+
+def _emit_json(args, data):
+    with _sink(args.output) as write:
+        write_json(data, write)
 
 
 def cmd_orbits(args) -> int:
@@ -93,7 +102,7 @@ def cmd_orbits(args) -> int:
                 for orb in orbits
             ],
         }
-        _emit(args, _json_dump(data))
+        _emit_json(args, data)
     else:
         lines = [f"{datum.label}, c = {c.render()}, h = {tuple(c.h_values)}"]
         for orb in orbits:
@@ -113,10 +122,11 @@ def cmd_polytope(args) -> int:
         _emit(args, export_off(model, hrep, vrep, precision=args.precision))
         if args.output:
             # exact sidecar next to the decimal OFF body
-            with open(args.output + ".json", "w") as fh:
-                fh.write(export_json(model, f, hrep, vrep))
+            with _sink(args.output + ".json") as write:
+                export_json(model, f, hrep, vrep, write)
     else:
-        _emit(args, export_json(model, f, hrep, vrep))
+        with _sink(args.output) as write:
+            export_json(model, f, hrep, vrep, write)
     return 0
 
 
@@ -129,7 +139,7 @@ def cmd_conditions(args) -> int:
             "equalities": [[i + 1, j + 1] for (i, j) in equalities],
             "inequalities": [list(r) for r in rows],
         }
-        _emit(args, _json_dump(data))
+        _emit_json(args, data)
     else:
         lines = [f"f({i + 1}) = f({j + 1})" for (i, j) in equalities]
         lines += [render_condition(r) for r in rows]
@@ -143,13 +153,14 @@ def cmd_verify(args) -> int:
         cs = all_coxeter_elements(datum)
     else:
         cs = [_parse_coxeter(datum, args.coxeter)]
-    group_cap = int(os.environ.get("COXFAN_GROUP_CAP", "200"))
+    group_cap = _env_cap("COXFAN_GROUP_CAP", 200)
+    rank_cap = _env_cap("COXFAN_RANK_CAP", 4)
     all_ok = True
     rows = []
     for c in cs:
         for res in run_suite(args.suite, datum, c, seed=args.seed,
                              points=args.points, random_fs=args.random_f,
-                             group_cap=group_cap):
+                             group_cap=group_cap, rank_cap=rank_cap):
             rows.append((c, res))
             all_ok = all_ok and res.ok
     if args.format == "json":
@@ -162,7 +173,7 @@ def cmd_verify(args) -> int:
             ],
             "ok": all_ok,
         }
-        _emit(args, _json_dump(data))
+        _emit_json(args, data)
     else:
         lines = []
         for (c, r) in rows:
@@ -178,7 +189,7 @@ def cmd_compat(args) -> int:
     c = _parse_coxeter(datum, args.coxeter)
     model = build_model(datum, c)
     if args.format == "json":
-        _emit(args, _json_dump(model.to_json_dict()))
+        _emit_json(args, model.to_json_dict())
     else:
         lines = ["labels: " + ", ".join(
             f"{k}:{fmt_combo(lab.weight, 'w')}" for k, lab in enumerate(model.labels))]
@@ -199,7 +210,7 @@ def cmd_clusters(args) -> int:
             "labels": [list(lab.weight) for lab in model.labels],
             "clusters": [list(cl) for cl in model.clusters()],
         }
-        _emit(args, _json_dump(data))
+        _emit_json(args, data)
     else:
         lines = []
         for cl in model.clusters():
@@ -229,7 +240,7 @@ def cmd_expand(args) -> int:
                 for k, v in items
             ],
         }
-        _emit(args, _json_dump(data))
+        _emit_json(args, data)
     else:
         sym = "w" if args.side == "weight" else "a"
         coords = "weight" if args.side == "weight" else "root"
@@ -258,7 +269,7 @@ def cmd_sorting_word(args) -> int:
             "sortable": sortable,
             "antisortable": anti,
         }
-        _emit(args, _json_dump(data))
+        _emit_json(args, data)
     else:
         fact = " | ".join("{" + ",".join(str(i + 1) for i in sorted(b)) + "}" for b in blocks)
         kind = "sortable" if sortable else ("antisortable" if anti else "neither")
@@ -279,7 +290,7 @@ def cmd_singletons(args) -> int:
             "count": len(elems),
             "singletons": [[i + 1 for i in w.letters] for w in words],
         }
-        _emit(args, _json_dump(data))
+        _emit_json(args, data)
     else:
         _emit(args, "\n".join(w.render() for w in words) + "\n")
     return 0
@@ -288,10 +299,9 @@ def cmd_singletons(args) -> int:
 def cmd_exchange_graph(args) -> int:
     datum = make_datum(args.datum)
     c = _parse_coxeter(datum, args.coxeter)
-    rank_cap = int(os.environ.get("COXFAN_RANK_CAP", "4"))
-    graph = exchange_graph(datum, c, rank_cap=rank_cap)
+    graph = exchange_graph(datum, c, rank_cap=_env_cap("COXFAN_RANK_CAP", 4))
     if args.format == "json":
-        _emit(args, _json_dump(exchange_graph_json(graph)))
+        _emit_json(args, exchange_graph_json(graph))
     else:
         lines = [f"{len(graph.seeds)} seeds, {len(graph.edges)} edges, "
                  f"{len(graph.variables)} cluster variables"]
@@ -301,14 +311,29 @@ def cmd_exchange_graph(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    """argparse type for integers >= low (0 or 1), so bad input exits 2 with a usage message."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            kind = "positive" if low else "non-negative"
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+def _env_cap(name: str, default: int) -> int:
+    """A non-negative integer cap from the environment; a malformed one is bad input."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+        return _int_at_least(0)(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{name} {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coxeter")
     p.add_argument("--f", default="default", help='"default" or comma-separated rationals')
     p.add_argument("--format", default="json", choices=("json", "off"))
-    p.add_argument("--precision", type=int, default=12)
+    p.add_argument("--precision", type=_int_at_least(0), default=12)
     p.add_argument("--output")
     p.set_defaults(func=cmd_polytope)
 
@@ -346,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-coxeter", action="store_true")
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=_positive_int, default=1000)
-    p.add_argument("--random-f", type=int, default=20)
+    p.add_argument("--points", type=_int_at_least(1), default=1000)
+    p.add_argument("--random-f", type=_int_at_least(0), default=20)
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)

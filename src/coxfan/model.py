@@ -26,6 +26,9 @@ class ModelError(ValueError):
     pass
 
 
+_PAIRED = -1    # ridge value in adjacent_cluster_pairs once two clusters share it
+
+
 @dataclass(frozen=True)
 class Label:
     """One cluster-variable label: weight view c^m omega_i, root view phi_c of it."""
@@ -222,20 +225,29 @@ class ClusterModel:
         return self._clusters
 
     def adjacent_cluster_pairs(self):
-        """Pairs of clusters sharing n-1 labels, with the exchanged labels."""
+        """Pairs of clusters sharing n-1 labels, with the exchanged labels.
+
+        A ridge (a cluster minus one label) is keyed by the bitmask of its
+        labels, and a pair is emitted when the second cluster on it arrives.
+        """
         if self._adjacent is None:
-            clusters = self.clusters()
-            by_face = {}
-            for ci, cl in enumerate(clusters):
-                for k in range(len(cl)):
-                    by_face.setdefault(cl[:k] + cl[k + 1:], []).append((ci, cl[k]))
+            masks = []
+            first = {}              # ridge -> id of the first cluster on it, or _PAIRED
             pairs = []
-            for face, touching in by_face.items():
-                if len(touching) > 2:
-                    raise ModelError("a ridge lies in more than two clusters")
-                if len(touching) == 2:
-                    (c1, a), (c2, b) = touching
-                    pairs.append((c1, c2, a, b))
+            for ci, cl in enumerate(self.clusters()):
+                mask = sum(1 << k for k in cl)
+                masks.append(mask)
+                for b in cl:
+                    ridge = mask ^ (1 << b)
+                    c1 = first.get(ridge)
+                    if c1 is None:
+                        first[ridge] = ci
+                    elif c1 == _PAIRED:
+                        raise ModelError("a ridge lies in more than two clusters")
+                    else:
+                        a = (masks[c1] ^ ridge).bit_length() - 1
+                        pairs.append((c1, ci, a, b))
+                        first[ridge] = _PAIRED
             self._adjacent = tuple(sorted(pairs))
         return self._adjacent
 

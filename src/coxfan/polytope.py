@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cartan import CartanDatum
+from .jsonout import dumps, write_json
 from .linalg import solve_fraction_free, vec_dot
 from .model import ClusterModel
 from .weyl import singletons
@@ -343,8 +344,8 @@ def _decimal(x: Fraction, precision: int) -> str:
 
 
 def _frac_str(x) -> str:
-    fr = Fraction(x)
-    return f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 else str(fr.numerator)
+    """Exact text of a rational: "p/q", or "p" when q = 1."""
+    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 def _frac_parse(s):
@@ -354,22 +355,31 @@ def _frac_parse(s):
     return Fraction(int(num), int(den or 1))
 
 
-def export_json(model: ClusterModel, f: SupportData, hrep: HRep, vrep: VRep) -> str:
+def export_json(model: ClusterModel, f: SupportData, hrep: HRep, vrep: VRep, write=None):
+    """The exact polytope document: f, the facets, one vertex per cluster and the edges.
+
+    With ``write`` the document goes through it in bounded batches and None is
+    returned; without, it is returned as one string.  Vertex records are made
+    one at a time as they are written.
+    """
     data = {
         "datum": model.datum.label,
         "coxeter": [i + 1 for i in model.c.order],
         "f": [_frac_str(x) for x in f.values],
         "facets": [
-            {"normal": list(fa.normal), "rhs": _frac_str(fa.rhs), "label": {"i": fa.tag[0], "m": fa.tag[1]}}
+            {"normal": fa.normal, "rhs": _frac_str(fa.rhs), "label": {"i": fa.tag[0], "m": fa.tag[1]}}
             for fa in hrep.facets
         ],
-        "vertices": [
-            {"coords": [_frac_str(x) for x in v], "cluster": list(cl)}
+        "vertices": (
+            {"coords": [_frac_str(x) for x in v], "cluster": cl}
             for v, cl in zip(vrep.vertices, vrep.clusters)
-        ],
-        "edges": [list(e) for e in vrep.edges],
+        ),
+        "edges": vrep.edges,
     }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if write is None:
+        return dumps(data)
+    write_json(data, write)
+    return None
 
 
 def load_json(text: str):

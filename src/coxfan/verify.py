@@ -53,7 +53,8 @@ SUITES = ("fan", "polytope", "cambrian", "exchange", "sorting", "maps")
 
 
 def run_suite(name: str, datum: CartanDatum, c: CoxeterElement, seed: int = 0,
-              points: int = 1000, random_fs: int = 20, group_cap: int = 200) -> list:
+              points: int = 1000, random_fs: int = 20, group_cap: int = 200,
+              rank_cap: int = 4) -> list:
     if name == "fan":
         return suite_fan(datum, c, points=points, seed=seed)
     if name == "polytope":
@@ -61,7 +62,7 @@ def run_suite(name: str, datum: CartanDatum, c: CoxeterElement, seed: int = 0,
     if name == "cambrian":
         return suite_cambrian(datum, c)
     if name == "exchange":
-        return suite_exchange(datum, c)
+        return suite_exchange(datum, c, rank_cap=rank_cap)
     if name == "sorting":
         return suite_sorting(datum, c, seed=seed, brute_force_cap=group_cap)
     if name == "maps":
@@ -168,9 +169,9 @@ def suite_cambrian(datum: CartanDatum, c: CoxeterElement) -> list:
 
 # --- exchange: the mutation oracle ------------------------------------------------------
 
-def suite_exchange(datum: CartanDatum, c: CoxeterElement) -> list:
+def suite_exchange(datum: CartanDatum, c: CoxeterElement, rank_cap: int = 4) -> list:
     model = build_model(datum, c)
-    graph = exchange_graph(datum, c)
+    graph = exchange_graph(datum, c, rank_cap=rank_cap)
     results = []
     results.append(_check("seeds-are-clusters", len(graph.seeds) == len(model.clusters()),
                           f"{len(graph.seeds)} seeds vs {len(model.clusters())} clusters"))

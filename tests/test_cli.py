@@ -1,7 +1,9 @@
 """CLI contracts: output shapes, exit codes, schema validity, determinism."""
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stdout
 from importlib import resources
 
 import jsonschema
@@ -271,3 +273,79 @@ def test_verify_points_must_be_positive(capsys):
             main(["verify", "A2", "--suite", "fan", "--points", bad])
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
+
+
+def test_polytope_precision_must_be_non_negative(capsys):
+    import pytest as _pytest
+
+    for bad in ("-1", "x"):
+        with _pytest.raises(SystemExit) as exc:
+            main(["polytope", "A3", "--format", "off", "--precision", bad])
+        assert exc.value.code == 2
+        assert "must be a non-negative integer" in capsys.readouterr().err
+    code, out, _ = run(capsys, "polytope", "A3", "--format", "off", "--precision", "0")
+    assert code == 0 and out.startswith("OFF\n14 9 21\n")
+
+
+def test_verify_random_f_must_be_non_negative(capsys):
+    import pytest as _pytest
+
+    with _pytest.raises(SystemExit) as exc:
+        main(["verify", "A2", "--suite", "polytope", "--random-f", "-3"])
+    assert exc.value.code == 2
+    assert "must be a non-negative integer" in capsys.readouterr().err
+    code, out, _ = run(capsys, "verify", "A2", "--suite", "polytope", "--random-f", "0")
+    assert code == 0 and out.strip().endswith("OK")
+
+
+def test_rank_cap_env_applies_to_exchange_suite(monkeypatch, capsys):
+    monkeypatch.setenv("COXFAN_RANK_CAP", "2")
+    code, out, err = run(capsys, "verify", "A3", "--suite", "exchange")
+    assert code == 2 and out == "" and "cap 2" in err
+    monkeypatch.setenv("COXFAN_RANK_CAP", "3")
+    code, out, _ = run(capsys, "verify", "A3", "--suite", "exchange")
+    assert code == 0 and out.strip().endswith("OK")
+
+
+def test_malformed_env_caps_exit_2(monkeypatch, capsys):
+    for name, argv in (("COXFAN_RANK_CAP", ("exchange-graph", "A2")),
+                       ("COXFAN_RANK_CAP", ("verify", "A2", "--suite", "exchange")),
+                       ("COXFAN_GROUP_CAP", ("verify", "A2", "--suite", "sorting"))):
+        for bad in ("four", "-1", ""):
+            monkeypatch.setenv(name, bad)
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {name} must be a non-negative integer")
+            assert err.count("\n") == 1
+        monkeypatch.delenv(name)
+
+
+def test_polytope_json_round_trips_to_exact_vertices():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from coxfan.cartan import make_datum
+    from coxfan.model import build_model
+    from coxfan.polytope import build_hrep, load_json, random_valid_f, vertices
+    from coxfan.weyl import coxeter_from_order
+
+    @settings(max_examples=25, deadline=None)
+    @given(label=st.sampled_from(["A3", "B3"]), rng=st.randoms(use_true_random=False),
+           order=st.permutations([0, 1, 2]))
+    def check(label, rng, order):
+        datum = make_datum(label)
+        f = random_valid_f(datum, rng)
+        argv = ["polytope", label, "--coxeter", ",".join(str(i + 1) for i in order),
+                "--f", ",".join(str(x) for x in f.values)]
+        sink = io.StringIO()
+        with redirect_stdout(sink):
+            assert main(argv) == 0
+        model = build_model(datum, coxeter_from_order(datum, tuple(order)))
+        hrep = build_hrep(model, f)
+        vrep = vertices(model, hrep)
+        facets, verts, clusters, edges = load_json(sink.getvalue())
+        assert facets == hrep.facets
+        assert verts == vrep.vertices
+        assert clusters == vrep.clusters and edges == vrep.edges
+
+    check()

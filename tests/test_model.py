@@ -488,3 +488,27 @@ def test_expansion_stream_builds_one_model_per_subdiagram():
     subs = _reachable_submodels(m)
     assert subs
     assert len({s.datum for s in subs}) == len(subs) <= 2 ** 6
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "F4", "G2", "A1xA2"])
+def test_adjacent_cluster_pairs_match_brute_force(label):
+    d = make_datum(label)
+    m = build_model(d, coxeter_from_order(d, tuple(range(d.n))))
+    clusters = [set(cl) for cl in m.clusters()]
+    brute = []
+    for c1, first in enumerate(clusters):
+        for c2 in range(c1 + 1, len(clusters)):
+            if len(first & clusters[c2]) == d.n - 1:
+                (a,), (b,) = first - clusters[c2], clusters[c2] - first
+                brute.append((c1, c2, a, b))
+    assert m.adjacent_cluster_pairs() == tuple(brute)
+
+
+def test_ridge_in_three_clusters_is_an_error():
+    import copy
+
+    m = copy.copy(MA3)
+    m._clusters = ((0, 1, 2), (0, 1, 3), (0, 1, 4))
+    m._adjacent = None
+    with pytest.raises(ModelError, match="more than two clusters"):
+        m.adjacent_cluster_pairs()
