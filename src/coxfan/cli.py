@@ -56,6 +56,8 @@ def _parse_f(datum, text):
     if text is None or text == "default":
         return default_f(datum)
     try:
+        if "e" in text.lower():   # Fraction("1e<k>") would build 10**k for any k
+            raise ValueError(text)
         vals = tuple(Fraction(x) for x in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise PolytopeError(f"cannot parse f {text!r}")
@@ -119,11 +121,14 @@ def cmd_polytope(args) -> int:
     hrep = build_hrep(model, f)
     vrep = vertices(model, hrep)
     if args.format == "off":
-        _emit(args, export_off(model, hrep, vrep, precision=args.precision))
+        body = export_off(model, hrep, vrep, precision=args.precision)
         if args.output:
-            # exact sidecar next to the decimal OFF body
-            with _sink(args.output + ".json") as write:
-                export_json(model, f, hrep, vrep, write)
+            # exact sidecar next to the decimal OFF body; both open before either is written
+            with _sink(args.output) as write, _sink(args.output + ".json") as write_exact:
+                write(body)
+                export_json(model, f, hrep, vrep, write_exact)
+        else:
+            _emit(args, body)
     else:
         with _sink(args.output) as write:
             export_json(model, f, hrep, vrep, write)
@@ -412,7 +417,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (CartanError, WeylError, PolytopeError, MutationError, ValueError) as exc:
+    except (CartanError, WeylError, PolytopeError, MutationError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

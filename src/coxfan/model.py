@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .cartan import (
     CartanDatum,
@@ -591,7 +592,7 @@ def _neg_simple_node(coords: tuple):
     return node
 
 
-# --- exact cone membership (batched, for fan verification) -----------------------------
+# --- exact cone membership (for fan verification) ---------------------------------------
 
 def cone_coefficient_matrices(model: ClusterModel):
     """Integer inverse of each cluster's root-coordinate basis matrix.
@@ -599,25 +600,35 @@ def cone_coefficient_matrices(model: ClusterModel):
     Clusters are Z-bases (determinant +-1), so the inverses are integral and
     cone membership reduces to integer sign checks.
     """
-    import numpy as np
-
-    mats = []
-    for cl in model.clusters():
-        basis = tuple(zip(*(model.labels[k].root for k in cl)))  # columns are labels
-        inv = int_mat_inv(basis)
-        mats.append(inv)
-    arr = np.array(mats, dtype=np.int64)
-    if arr.size and int(abs(arr).max()) > 1 << 20:
-        raise ModelError("cone inverse entries are unexpectedly large")
-    return arr
+    return [int_mat_inv(tuple(zip(*(model.labels[k].root for k in cl))))  # columns are labels
+            for cl in model.clusters()]
 
 
 def cone_membership(model: ClusterModel, points):
-    """Per-point coefficients over every cluster basis: array (clusters, points, n)."""
-    import numpy as np
+    """For each point, the closed cluster cones that contain it.
 
-    inv = cone_coefficient_matrices(model)
-    pts = np.asarray(points, dtype=np.int64)
-    if pts.size and int(abs(pts).max()) > 1 << 20:
-        raise ModelError("points too large for the int64 fast path")
-    return np.einsum("cij,pj->cpi", inv, pts)
+    Returns one list per point of ``(cluster index, coefficients)`` pairs, in
+    cluster order, where ``coefficients`` are the point's integer coordinates
+    in that cluster's basis (all >= 0).  The arithmetic is Python integers, so
+    the answer is exact for points of any size; a cluster is dropped at its
+    first negative coefficient.
+    """
+    inverses = cone_coefficient_matrices(model)
+    n = model.n
+    out = []
+    for p in points:
+        p = tuple(p)
+        if len(p) != n:
+            raise ModelError(f"point {p} does not have {n} coordinates")
+        cones = []
+        for ci, inv in enumerate(inverses):
+            coeffs = []
+            for row in inv:
+                x = sum(map(mul, row, p))
+                if x < 0:
+                    break
+                coeffs.append(x)
+            else:
+                cones.append((ci, tuple(coeffs)))
+        out.append(cones)
+    return out

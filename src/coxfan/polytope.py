@@ -335,10 +335,13 @@ def export_off(model: ClusterModel, hrep: HRep, vrep: VRep, precision: int = 12)
 
 
 def _decimal(x: Fraction, precision: int) -> str:
-    sign = "-" if x < 0 else ""
-    x = abs(Fraction(x))
-    scaled = x * 10**precision
-    digits = scaled.numerator // scaled.denominator
+    """x to ``precision`` decimals, halves rounded away from zero; an integer at precision 0."""
+    x = Fraction(x)
+    scaled = abs(x) * 10**precision
+    digits = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    sign = "-" if x < 0 and digits else ""
+    if precision == 0:
+        return f"{sign}{digits}"
     whole, frac = divmod(digits, 10**precision)
     return f"{sign}{whole}.{str(frac).rjust(precision, '0')}"
 

@@ -73,43 +73,60 @@ def run_suite(name: str, datum: CartanDatum, c: CoxeterElement, seed: int = 0,
 # --- fan: Z-bases, unique expansions, completeness -------------------------------------
 
 def suite_fan(datum: CartanDatum, c: CoxeterElement, points: int = 1000, seed: int = 0) -> list:
+    """Z-bases, covering and disjoint cones, and expansions that match the cone solution.
+
+    A failed check's detail ends with its first witness: a cluster, or a
+    sample point with its clusters or its expansion.
+    """
     model = build_model(datum, c)
+    clusters = model.clusters()
     results = []
-    bad_det = [cl for cl in model.clusters()
-               if bareiss_det(tuple(model.labels[k].weight for k in cl)) not in (1, -1)]
-    results.append(_check("cluster-z-basis", not bad_det,
-                          f"{len(model.clusters())} clusters, {len(bad_det)} non-unimodular"))
+    bad_det = [(cl, det) for cl in clusters
+               if (det := bareiss_det(tuple(model.labels[k].weight for k in cl))) not in (1, -1)]
+    detail = f"{len(clusters)} clusters, {len(bad_det)} non-unimodular"
+    if bad_det:
+        cl, det = bad_det[0]
+        detail += f"; first: cluster {list(cl)} has determinant {det}"
+    results.append(_check("cluster-z-basis", not bad_det, detail))
 
     rng = random.Random(seed)
     pts = [tuple(rng.randint(-20, 20) for _ in range(datum.n)) for _ in range(points)]
-    coeffs = cone_membership(model, pts)
-    closed = (coeffs >= 0).all(axis=2)
-    open_ = (coeffs > 0).all(axis=2)
-    cover_ok = bool((closed.sum(axis=0) >= 1).all())
-    disjoint_ok = bool((open_.sum(axis=0) <= 1).all())
-    results.append(_check("cone-cover", cover_ok, f"{points} points in >=1 closed cone"))
-    results.append(_check("cone-disjoint", disjoint_ok, "open cones pairwise disjoint on sample"))
+    cones = cone_membership(model, pts)
+    uncovered = [p for p, in_cones in zip(pts, cones) if not in_cones]
+    detail = f"{points} points in >=1 closed cone"
+    if uncovered:
+        detail = f"{len(uncovered)} of {points} points in no closed cone; first: {list(uncovered[0])}"
+    results.append(_check("cone-cover", not uncovered, detail))
+    overlaps = [(p, opened) for p, in_cones in zip(pts, cones)
+                if len(opened := [list(clusters[ci]) for ci, x in in_cones if min(x) > 0]) > 1]
+    detail = "open cones pairwise disjoint on sample"
+    if overlaps:
+        p, opened = overlaps[0]
+        detail = (f"{len(overlaps)} of {points} points in more than one open cone; "
+                  f"first: {list(p)} in clusters {opened}")
+    results.append(_check("cone-disjoint", not overlaps, detail))
 
-    clusters = model.clusters()
-    n = datum.n
-    bad = 0
-    for pi, p in enumerate(pts):
+    bad = []
+    for p, in_cones in zip(pts, cones):
         exp = model.expand_root(p)
         support = list(exp)
         pairwise = all(
             model.compat(a, b) == 0 and model.compat(b, a) == 0
             for i, a in enumerate(support) for b in support[i + 1:]
         )
-        want = {(k, v) for k, v in exp.items()}
-        agree = True
-        for ci in closed[:, pi].nonzero()[0]:
-            got = {(clusters[ci][t], int(coeffs[ci, pi, t])) for t in range(n) if coeffs[ci, pi, t] > 0}
-            if got != want:
-                agree = False
-        if not (pairwise and agree):
-            bad += 1
-    results.append(_check("expansion-unique", bad == 0,
-                          f"{points} points, {bad} with ambiguous or incompatible expansion"))
+        want = set(exp.items())
+        disagree = [list(clusters[ci]) for ci, x in in_cones
+                    if {(clusters[ci][t], v) for t, v in enumerate(x) if v > 0} != want]
+        if not pairwise:
+            bad.append(f"{list(p)} expands to {dict(sorted(exp.items()))}, "
+                       "whose labels are not pairwise compatible")
+        elif disagree:
+            bad.append(f"{list(p)} expands to {dict(sorted(exp.items()))}, "
+                       f"not its coefficients in the closed cones of clusters {disagree}")
+    detail = f"{points} points, {len(bad)} with ambiguous or incompatible expansion"
+    if bad:
+        detail += f"; first: {bad[0]}"
+    results.append(_check("expansion-unique", not bad, detail))
     return results
 
 

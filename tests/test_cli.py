@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import jsonschema
@@ -259,7 +259,8 @@ def test_sorting_word_letter_out_of_range_exits_2(capsys):
 
 
 def test_polytope_unparsable_f_exits_2(capsys):
-    for bad in ("1/0,1", "abc,1", "1"):
+    # exponent notation is refused: Fraction("1e<k>") builds 10**k however large k is
+    for bad in ("1/0,1", "abc,1", "1", "1e0,1", "1,1E0"):
         code, out, err = run(capsys, "polytope", "A2", "--f", bad)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -347,5 +348,57 @@ def test_polytope_json_round_trips_to_exact_vertices():
         assert facets == hrep.facets
         assert verts == vrep.vertices
         assert clusters == vrep.clusters and edges == vrep.edges
+
+    check()
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "orbits", "A2", "--output", str(tmp_path / "missing" / "x"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "No such file" in err
+    # the OFF body's path is writable but its exact sidecar's is not
+    (tmp_path / "p.off.json").mkdir()
+    code, out, err = run(capsys, "polytope", "A3", "--format", "off",
+                         "--output", str(tmp_path / "p.off"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (tmp_path / "p.off").read_text() == ""
+
+
+def test_off_decimals_round_half_away_from_zero(capsys):
+    argv = ("polytope", "C3", "--f", "1,7/4,2", "--format", "off")
+    _, out, _ = run(capsys, *argv, "--precision", "2")
+    assert "1.00 1.75 2.00" in out.splitlines()
+    _, out, _ = run(capsys, *argv, "--precision", "0")
+    body = out.splitlines()[2:22]
+    assert "1 2 2" in body and "-1 -2 -2" in body
+    assert not any("." in line for line in body)
+
+
+def test_malformed_cli_strings_exit_0_or_2():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    junk = st.one_of(st.text(alphabet="0123456789,-+/._ eEx", max_size=14),
+                     st.text(max_size=8))
+    commands = {"--coxeter": "orbits", "--f": "polytope", "--word": "sorting-word",
+                "--point": "expand"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(label=st.sampled_from(["A2", "B3"]), flag=st.sampled_from(sorted(commands)),
+           value=junk)
+    def check(label, flag, value):
+        argv = [commands[flag], label, f"{flag}={value}"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse rejects the token itself, with its usage
+                assert exc.code == 2, argv
+                return
+        assert code in (0, 2), argv
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
     check()

@@ -194,22 +194,39 @@ def test_expansion_reconstructs_and_is_compatible():
 
 
 def test_expansion_agrees_with_cone_solution():
-    import numpy as np
-
     rng = random.Random(23)
     d = make_datum("C3")
     m = build_model(d, coxeter_from_order(d, (0, 1, 2)))
     pts = [tuple(rng.randint(-15, 15) for _ in range(3)) for _ in range(200)]
-    coeffs = cone_membership(m, pts)
-    closed = (coeffs >= 0).all(axis=2)
-    assert (closed.sum(axis=0) >= 1).all()
-    assert ((coeffs > 0).all(axis=2).sum(axis=0) <= 1).all()
-    for pi, p in enumerate(pts):
+    cones = cone_membership(m, pts)
+    assert all(len(in_cones) >= 1 for in_cones in cones)
+    assert all(sum(min(x) > 0 for _, x in in_cones) <= 1 for in_cones in cones)
+    for p, in_cones in zip(pts, cones):
         want = set(m.expand_root(p).items())
-        for ci in np.nonzero(closed[:, pi])[0]:
-            got = {(m.clusters()[ci][t], int(coeffs[ci, pi, t]))
-                   for t in range(3) if coeffs[ci, pi, t] > 0}
+        for ci, x in in_cones:
+            got = {(m.clusters()[ci][t], x[t]) for t in range(3) if x[t] > 0}
             assert got == want
+
+
+def test_cone_membership_is_exact_past_int64():
+    from coxfan.linalg import solve_exact
+
+    d = make_datum("C3")
+    m = build_model(d, coxeter_from_order(d, (0, 1, 2)))
+    big = 2**70
+    pts = [(big, -big + 1, 3), (big + 1, big, big - 1), (-big, 5, big), (0, 0, 0)]
+    for p, in_cones in zip(pts, cone_membership(m, pts)):
+        want = []
+        for ci, cl in enumerate(m.clusters()):
+            x = solve_exact(tuple(zip(*(m.labels[k].root for k in cl))), p)
+            if min(x) >= 0:
+                want.append((ci, x))
+        assert want and in_cones == want
+        exp = set(m.expand_root(p).items())
+        for ci, x in in_cones:
+            assert {(m.clusters()[ci][t], v) for t, v in enumerate(x) if v > 0} == exp
+    with pytest.raises(ModelError):
+        cone_membership(m, [(1, 2)])
 
 
 def test_expansion_weight_side_matches_phi():

@@ -261,3 +261,13 @@ def test_reducible_polytope_prism():
     assert check_polytopality(m, f.values) == []
     ok, witness = polytopes_equal(m, f)
     assert ok, witness
+
+
+def test_off_decimal_rounds_exactly():
+    from coxfan.polytope import _decimal
+
+    cases = [((2, 3), 3, "0.667"), ((-2, 3), 3, "-0.667"), ((7, 4), 0, "2"), ((7, 4), 1, "1.8"),
+             ((-7, 4), 1, "-1.8"), ((1, 2), 0, "1"), ((-1, 2), 0, "-1"), ((1, 8), 2, "0.13"),
+             ((5, 1), 2, "5.00"), ((-1, 1000), 2, "0.00"), ((1, 3), 0, "0")]
+    for (p, q), precision, text in cases:
+        assert _decimal(Fraction(p, q), precision) == text
