@@ -3,13 +3,10 @@
 from .cartan import (
     CartanDatum,
     CartanError,
-    LatticeVector,
     RootSystem,
-    convert,
     datum_from_matrix,
     generate_roots,
     make_datum,
-    reflect,
 )
 from .model import BipartiteOracle, ClusterModel, Label, ModelError, bar_map, build_model, iota_map, sigma_map
 from .mutation import ExchangeGraph, LaurentPoly, Seed, b_of_coxeter, exchange_graph, mutate, verify_exchange_relations

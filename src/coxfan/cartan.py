@@ -10,11 +10,9 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .linalg import bareiss_det, mat_inv, mat_vec
-
-ROOT = "root"
-WEIGHT = "weight"
 
 _LABEL_RE = re.compile(r"^([A-G])\s*(\d+)$")
 
@@ -32,43 +30,6 @@ _RANK_RANGE = {
 
 class CartanError(ValueError):
     """Raised for malformed labels or matrices that are not of finite type."""
-
-
-@dataclass(frozen=True)
-class LatticeVector:
-    """Exact coordinate vector tagged with its basis (simple roots or fundamental weights)."""
-
-    basis: str
-    coords: tuple
-
-    def __post_init__(self):
-        if self.basis not in (ROOT, WEIGHT):
-            raise CartanError(f"unknown basis tag {self.basis!r}")
-
-    def _check(self, other: "LatticeVector"):
-        if self.basis != other.basis:
-            raise CartanError("arithmetic requires matching basis tags")
-        if len(self.coords) != len(other.coords):
-            raise CartanError("rank mismatch")
-
-    def __add__(self, other: "LatticeVector") -> "LatticeVector":
-        self._check(other)
-        return LatticeVector(self.basis, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        self._check(other)
-        return LatticeVector(self.basis, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(self.basis, tuple(-a for a in self.coords))
-
-    def __mul__(self, c) -> "LatticeVector":
-        return LatticeVector(self.basis, tuple(c * a for a in self.coords))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
 
 
 @dataclass(frozen=True)
@@ -97,12 +58,6 @@ class CartanDatum:
 
     def neighbors(self, i: int) -> tuple:
         return tuple(j for j in range(self.n) if j != i and self.cartan[i][j] != 0)
-
-    def component_of(self, i: int) -> tuple:
-        for comp in self.components:
-            if i in comp:
-                return comp
-        raise CartanError(f"node {i} out of range")
 
     def restrict(self, nodes: tuple) -> "CartanDatum":
         """Sub-datum on the given nodes (kept in ascending order, re-indexed from 0).
@@ -182,22 +137,15 @@ def _compute_symmetrizer(cartan: tuple, components: tuple) -> tuple:
                     raise CartanError("matrix is not symmetrizable")
         denom = 1
         for i in comp:
-            denom = denom * d[i].denominator // _gcd(denom, d[i].denominator)
+            denom = lcm(denom, d[i].denominator)
         for i in comp:
             d[i] = d[i] * denom
         g = 0
         for i in comp:
-            g = _gcd(g, int(d[i]))
+            g = gcd(g, int(d[i]))
         for i in comp:
             d[i] = int(d[i]) // g
     return tuple(int(x) for x in d)
-
-
-def _gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _connected_components(cartan: tuple) -> tuple:
@@ -304,17 +252,6 @@ def weight_to_root_int(datum: CartanDatum, coords: tuple) -> tuple:
     return tuple(res)
 
 
-def convert(datum: CartanDatum, v: LatticeVector, target: str) -> LatticeVector:
-    """Change of basis between root and weight coordinates (exact, possibly rational)."""
-    if target not in (ROOT, WEIGHT):
-        raise CartanError(f"unknown basis tag {target!r}")
-    if v.basis == target:
-        return v
-    if v.basis == ROOT:
-        return LatticeVector(WEIGHT, root_to_weight(datum, v.coords))
-    return LatticeVector(ROOT, weight_to_root(datum, v.coords))
-
-
 def reflect_root(datum: CartanDatum, i: int, coords: tuple) -> tuple:
     """Simple reflection s_i on root coordinates: only the i-th coordinate moves."""
     pairing = sum(datum.cartan[i][j] * coords[j] for j in range(datum.n))
@@ -329,12 +266,6 @@ def reflect_weight(datum: CartanDatum, i: int, coords: tuple) -> tuple:
     if ci == 0:
         return tuple(coords)
     return tuple(coords[k] - ci * datum.cartan[k][i] for k in range(datum.n))
-
-
-def reflect(datum: CartanDatum, i: int, v: LatticeVector) -> LatticeVector:
-    if v.basis == ROOT:
-        return LatticeVector(ROOT, reflect_root(datum, i, v.coords))
-    return LatticeVector(WEIGHT, reflect_weight(datum, i, v.coords))
 
 
 # --- root systems -------------------------------------------------------------------
@@ -389,21 +320,17 @@ def spaced(datum: CartanDatum, s1, s2) -> bool:
     return all(datum.cartan[i][j] == 0 for i in s1 for j in s2 if i != j) and not (set(s1) & set(s2))
 
 
-def is_positive(coords: tuple) -> bool:
-    return all(x >= 0 for x in coords) and any(x > 0 for x in coords)
-
-
 def is_negative(coords: tuple) -> bool:
     return all(x <= 0 for x in coords) and any(x < 0 for x in coords)
 
 
-def fmt_combo(coords: tuple, symbol: str) -> str:
-    """Render e.g. (-1, 0, 2) as "-w1+2w3" for human-readable output."""
+def fmt_combo(coords: tuple, template: str) -> str:
+    """Render e.g. (-1, 0, 2) with template "w{}" as "-w1+2w3" for human-readable output."""
     parts = []
     for i, x in enumerate(coords):
         if x == 0:
             continue
-        term = f"{symbol}{i + 1}"
+        term = template.format(i + 1)
         if x == 1:
             parts.append(("+" if parts else "") + term)
         elif x == -1:

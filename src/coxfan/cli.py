@@ -3,14 +3,21 @@
 Exit codes: 0 success, 1 verification failure, 2 bad input (labels, orders,
 inadmissible f).  All JSON output is sorted and timestamp-free, so identical
 invocations are byte-identical.
+
+Each command is a row of ``COMMANDS``.  ``main`` makes the datum and the
+Coxeter element, calls the row's handler, adds the ``datum``/``coxeter``
+header to its JSON documents and writes them through ``_emit``.  A handler
+returns one document, or a tuple whose second entry is the exact sidecar of
+an ``--output`` file; a document is a list of text lines, a JSON object,
+finished text, or a function that writes itself through a ``write`` callable.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .cartan import CartanError, fmt_combo, make_datum
 from .jsonout import write_json
@@ -34,6 +41,7 @@ from .weyl import (
     all_coxeter_elements,
     c_sorting_word,
     coxeter_from_order,
+    is_antisortable,
     singletons,
     word_to_element,
 )
@@ -69,108 +77,114 @@ def _parse_f(datum, text):
     return SupportData.make(datum, vals)
 
 
-@contextmanager
-def _sink(path):
-    """The write function of the --output file, or of stdout when there is none."""
-    if path:
-        with open(path, "w") as fh:
-            yield fh.write
+def _write(doc, write) -> None:
+    """Write one document through ``write``."""
+    if isinstance(doc, list):
+        write("\n".join(doc) + "\n")
+    elif isinstance(doc, dict):
+        write_json(doc, write)
+    elif isinstance(doc, str):
+        write(doc)
     else:
-        yield sys.stdout.write
+        doc(write)
 
 
-def _emit(args, text):
-    with _sink(args.output) as write:
-        write(text)
+def _emit(path, docs) -> None:
+    """Write docs[0] to stdout, or docs to ``path`` and ``path + ".json"``.
+
+    Files are written to temporaries in their target directories and renamed
+    over the targets only when every document is complete, so a failure
+    leaves each target as it was and no temporary behind.  A target that
+    exists but is not a regular file (a device, a pipe) is written in place.
+    """
+    if not path:
+        _write(docs[0], sys.stdout.write)
+        return
+    opened = []   # (file object, temporary path or None, target)
+    try:
+        for target in (path, path + ".json")[:len(docs)]:
+            if os.path.exists(target) and not os.path.isfile(target):
+                opened.append((open(target, "w"), None, target))   # a directory raises here
+                continue
+            real = os.path.realpath(target)
+            head, tail = os.path.split(real)
+            temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+            try:
+                opened.append((open(temp, "x"), temp, real))
+            except OSError as exc:
+                raise type(exc)(exc.errno, exc.strerror, target) from None
+        for (fh, _, _), doc in zip(opened, docs):
+            with fh:
+                _write(doc, fh.write)
+        for _, temp, real in opened:
+            if temp:
+                os.replace(temp, real)
+    except BaseException:
+        for fh, temp, _ in opened:
+            fh.close()
+            if temp and os.path.exists(temp):
+                os.remove(temp)
+        raise
 
 
-def _emit_json(args, data):
-    with _sink(args.output) as write:
-        write_json(data, write)
-
-
-def cmd_orbits(args) -> int:
-    datum = make_datum(args.datum)
-    c = _parse_coxeter(datum, args.coxeter)
+def cmd_orbits(args, datum, c):
     model = build_model(datum, c)
     orbits = [[model.labels[k] for k in orb] for orb in model.orbits]
     if args.format == "json":
-        data = {
-            "datum": datum.label,
-            "coxeter": [i + 1 for i in c.order],
+        return {
             "h": list(c.h_values),
             "orbits": [
                 [{"i": lab.node + 1, "m": lab.power, "weight": list(lab.weight)} for lab in orb]
                 for orb in orbits
             ],
         }
-        _emit_json(args, data)
-    else:
-        lines = [f"{datum.label}, c = {c.render()}, h = {tuple(c.h_values)}"]
-        for orb in orbits:
-            lines.append("  " + " -> ".join(fmt_combo(lab.weight, "w") for lab in orb))
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    lines = [f"{datum.label}, c = {c.render()}, h = {tuple(c.h_values)}"]
+    for orb in orbits:
+        lines.append("  " + " -> ".join(fmt_combo(lab.weight, "w{}") for lab in orb))
+    return lines
 
 
-def cmd_polytope(args) -> int:
-    datum = make_datum(args.datum)
-    c = _parse_coxeter(datum, args.coxeter)
+def cmd_polytope(args, datum, c):
     model = build_model(datum, c)
     f = _parse_f(datum, args.f)
     hrep = build_hrep(model, f)
     vrep = vertices(model, hrep)
+
+    def exact(write):
+        export_json(model, f, hrep, vrep, write)
+
     if args.format == "off":
-        body = export_off(model, hrep, vrep, precision=args.precision)
-        if args.output:
-            # exact sidecar next to the decimal OFF body; both open before either is written
-            with _sink(args.output) as write, _sink(args.output + ".json") as write_exact:
-                write(body)
-                export_json(model, f, hrep, vrep, write_exact)
-        else:
-            _emit(args, body)
-    else:
-        with _sink(args.output) as write:
-            export_json(model, f, hrep, vrep, write)
-    return 0
+        # the decimal OFF body; an --output file also gets the exact JSON as a sidecar
+        return export_off(model, hrep, vrep, precision=args.precision), exact
+    return exact
 
 
-def cmd_conditions(args) -> int:
-    datum = make_datum(args.datum)
+def cmd_conditions(args, datum, c):
     equalities, rows = f_conditions(datum)
     if args.format == "json":
-        data = {
-            "datum": datum.label,
+        return {
             "equalities": [[i + 1, j + 1] for (i, j) in equalities],
             "inequalities": [list(r) for r in rows],
         }
-        _emit_json(args, data)
-    else:
-        lines = [f"f({i + 1}) = f({j + 1})" for (i, j) in equalities]
-        lines += [render_condition(r) for r in rows]
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    lines = [f"f({i + 1}) = f({j + 1})" for (i, j) in equalities]
+    return lines + [render_condition(r) for r in rows]
 
 
-def cmd_verify(args) -> int:
-    datum = make_datum(args.datum)
-    if args.all_coxeter:
-        cs = all_coxeter_elements(datum)
-    else:
-        cs = [_parse_coxeter(datum, args.coxeter)]
+def cmd_verify(args, datum, c):
+    cs = [c] if c is not None else all_coxeter_elements(datum)
     group_cap = _env_cap("COXFAN_GROUP_CAP", 200)
     rank_cap = _env_cap("COXFAN_RANK_CAP", 4)
-    all_ok = True
     rows = []
     for c in cs:
         for res in run_suite(args.suite, datum, c, seed=args.seed,
                              points=args.points, random_fs=args.random_f,
                              group_cap=group_cap, rank_cap=rank_cap):
             rows.append((c, res))
-            all_ok = all_ok and res.ok
+    all_ok = all(r.ok for (_, r) in rows)
+    if not all_ok:
+        args.status = VERIFY_ERROR
     if args.format == "json":
-        data = {
-            "datum": datum.label,
+        return {
             "suite": args.suite,
             "checks": [
                 {"coxeter": [i + 1 for i in c.order], "name": r.name, "ok": r.ok, "detail": r.detail}
@@ -178,55 +192,34 @@ def cmd_verify(args) -> int:
             ],
             "ok": all_ok,
         }
-        _emit_json(args, data)
-    else:
-        lines = []
-        for (c, r) in rows:
-            status = "PASS" if r.ok else "FAIL"
-            lines.append(f"[{status}] {datum.label} c={c.render()} {args.suite}/{r.name}: {r.detail}")
-        lines.append("OK" if all_ok else "FAILED")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if all_ok else VERIFY_ERROR
+    lines = []
+    for (c, r) in rows:
+        status = "PASS" if r.ok else "FAIL"
+        lines.append(f"[{status}] {datum.label} c={c.render()} {args.suite}/{r.name}: {r.detail}")
+    return lines + ["OK" if all_ok else "FAILED"]
 
 
-def cmd_compat(args) -> int:
-    datum = make_datum(args.datum)
-    c = _parse_coxeter(datum, args.coxeter)
+def cmd_compat(args, datum, c):
     model = build_model(datum, c)
     if args.format == "json":
-        _emit_json(args, model.to_json_dict())
-    else:
-        lines = ["labels: " + ", ".join(
-            f"{k}:{fmt_combo(lab.weight, 'w')}" for k, lab in enumerate(model.labels))]
-        for row in model.compat_table():
-            lines.append(" ".join(str(x) for x in row))
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        return model.to_json_dict()
+    lines = ["labels: " + ", ".join(
+        f"{k}:{fmt_combo(lab.weight, 'w{}')}" for k, lab in enumerate(model.labels))]
+    return lines + [" ".join(str(x) for x in row) for row in model.compat_table()]
 
 
-def cmd_clusters(args) -> int:
-    datum = make_datum(args.datum)
-    c = _parse_coxeter(datum, args.coxeter)
+def cmd_clusters(args, datum, c):
     model = build_model(datum, c)
     if args.format == "json":
-        data = {
-            "datum": datum.label,
-            "coxeter": [i + 1 for i in c.order],
+        return {
             "labels": [list(lab.weight) for lab in model.labels],
             "clusters": [list(cl) for cl in model.clusters()],
         }
-        _emit_json(args, data)
-    else:
-        lines = []
-        for cl in model.clusters():
-            lines.append("{ " + ", ".join(fmt_combo(model.labels[k].weight, "w") for k in cl) + " }")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return ["{ " + ", ".join(fmt_combo(model.labels[k].weight, "w{}") for k in cl) + " }"
+            for cl in model.clusters()]
 
 
-def cmd_expand(args) -> int:
-    datum = make_datum(args.datum)
-    c = _parse_coxeter(datum, args.coxeter)
+def cmd_expand(args, datum, c):
     model = build_model(datum, c)
     point = tuple(int(x) for x in args.point.split(","))
     if len(point) != datum.n:
@@ -234,9 +227,7 @@ def cmd_expand(args) -> int:
     expansion = model.expand_weight(point) if args.side == "weight" else model.expand_root(point)
     items = sorted(expansion.items())
     if args.format == "json":
-        data = {
-            "datum": datum.label,
-            "coxeter": [i + 1 for i in c.order],
+        return {
             "side": args.side,
             "point": list(point),
             "expansion": [
@@ -245,75 +236,46 @@ def cmd_expand(args) -> int:
                 for k, v in items
             ],
         }
-        _emit_json(args, data)
-    else:
-        sym = "w" if args.side == "weight" else "a"
-        coords = "weight" if args.side == "weight" else "root"
-        terms = [f"{v}*[{fmt_combo(getattr(model.labels[k], coords), sym)}]" for k, v in items]
-        _emit(args, (" + ".join(terms) if terms else "0") + "\n")
-    return 0
+    sym = "w{}" if args.side == "weight" else "a{}"
+    terms = [f"{v}*[{fmt_combo(getattr(model.labels[k], args.side), sym)}]" for k, v in items]
+    return [" + ".join(terms) if terms else "0"]
 
 
-def cmd_sorting_word(args) -> int:
-    datum = make_datum(args.datum)
-    c = _parse_coxeter(datum, args.coxeter)
+def cmd_sorting_word(args, datum, c):
     letters = tuple(int(x) - 1 for x in args.word.split(",")) if args.word else ()
     w = word_to_element(datum, letters)
     word, blocks = c_sorting_word(c, w)
-    from .weyl import is_antisortable
-
     sortable = all(blocks[k + 1] <= blocks[k] for k in range(len(blocks) - 1))
     anti = is_antisortable(c, w)
     if args.format == "json":
-        data = {
-            "datum": datum.label,
-            "coxeter": [i + 1 for i in c.order],
+        return {
             "input": [i + 1 for i in letters],
             "sorting_word": [i + 1 for i in word.letters],
             "factorization": [sorted(i + 1 for i in b) for b in blocks],
             "sortable": sortable,
             "antisortable": anti,
         }
-        _emit_json(args, data)
-    else:
-        fact = " | ".join("{" + ",".join(str(i + 1) for i in sorted(b)) + "}" for b in blocks)
-        kind = "sortable" if sortable else ("antisortable" if anti else "neither")
-        kind = "sortable and antisortable" if sortable and anti else kind
-        _emit(args, f"{word.render()}  factorization {fact}  [{kind}]\n")
-    return 0
+    fact = " | ".join("{" + ",".join(str(i + 1) for i in sorted(b)) + "}" for b in blocks)
+    kind = "sortable" if sortable else ("antisortable" if anti else "neither")
+    kind = "sortable and antisortable" if sortable and anti else kind
+    return [f"{word.render()}  factorization {fact}  [{kind}]"]
 
 
-def cmd_singletons(args) -> int:
-    datum = make_datum(args.datum)
-    c = _parse_coxeter(datum, args.coxeter)
+def cmd_singletons(args, datum, c):
     elems = singletons(c)
     words = [c_sorting_word(c, w)[0] for w in elems]
     if args.format == "json":
-        data = {
-            "datum": datum.label,
-            "coxeter": [i + 1 for i in c.order],
-            "count": len(elems),
-            "singletons": [[i + 1 for i in w.letters] for w in words],
-        }
-        _emit_json(args, data)
-    else:
-        _emit(args, "\n".join(w.render() for w in words) + "\n")
-    return 0
+        return {"count": len(elems), "singletons": [[i + 1 for i in w.letters] for w in words]}
+    return [w.render() for w in words]
 
 
-def cmd_exchange_graph(args) -> int:
-    datum = make_datum(args.datum)
-    c = _parse_coxeter(datum, args.coxeter)
+def cmd_exchange_graph(args, datum, c):
     graph = exchange_graph(datum, c, rank_cap=_env_cap("COXFAN_RANK_CAP", 4))
     if args.format == "json":
-        _emit_json(args, exchange_graph_json(graph))
-    else:
-        lines = [f"{len(graph.seeds)} seeds, {len(graph.edges)} edges, "
-                 f"{len(graph.variables)} cluster variables"]
-        for g, p in sorted(graph.variables.items()):
-            lines.append(f"g={list(g)}  x = {p.render()}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        return exchange_graph_json(graph)
+    lines = [f"{len(graph.seeds)} seeds, {len(graph.edges)} edges, "
+             f"{len(graph.variables)} cluster variables"]
+    return lines + [f"g={list(g)}  x = {p.render()}" for g, p in sorted(graph.variables.items())]
 
 
 def _int_at_least(low: int):
@@ -341,85 +303,82 @@ def _env_cap(name: str, default: int) -> int:
         raise ValueError(f"{name} {exc}")
 
 
+class Command(NamedTuple):
+    """One CLI command: its handler, help line and arguments beyond datum/--format/--output."""
+
+    func: Callable
+    help: str
+    options: tuple = ()                  # (flag, argparse keywords) after the shared arguments
+    formats: tuple = ("text", "json")    # the first is the default
+    coxeter: bool = True                 # takes --coxeter; main builds c from it
+    json_coxeter: bool = True            # main adds "coxeter" beside "datum" to JSON documents
+
+
+COMMANDS = {
+    "orbits": Command(cmd_orbits, "tau-orbits of the weight labels"),
+    "polytope": Command(cmd_polytope, "build the generalized associahedron", (
+        ("--f", dict(default="default", help='"default" or comma-separated rationals')),
+        ("--precision", dict(type=_int_at_least(0), default=12)),
+    ), formats=("json", "off")),
+    "conditions": Command(cmd_conditions, "admissibility conditions on f",
+                          coxeter=False, json_coxeter=False),
+    "verify": Command(cmd_verify, "run a named verification suite", (
+        ("--all-coxeter", dict(action="store_true")),
+        ("--suite", dict(required=True, choices=SUITES)),
+        ("--seed", dict(type=int, default=0)),
+        ("--points", dict(type=_int_at_least(1), default=1000)),
+        ("--random-f", dict(type=_int_at_least(0), default=20)),
+    ), json_coxeter=False),
+    "compat": Command(cmd_compat, "full compatibility table"),
+    "clusters": Command(cmd_clusters, "all c-clusters"),
+    "expand": Command(cmd_expand, "c-cluster expansion of a lattice point", (
+        ("--point", dict(required=True, help="comma-separated integers; "
+                         "write --point=-1,2 when the first is negative")),
+        ("--side", dict(default="root", choices=("root", "weight"))),
+    )),
+    "sorting-word": Command(cmd_sorting_word, "c-sorting word and factorization of a word", (
+        ("--word", dict(default="", help="comma-separated 1-based letters, empty = identity")),
+    )),
+    "singletons": Command(cmd_singletons, "all c-singletons"),
+    "exchange-graph": Command(cmd_exchange_graph, "mutation-oracle exchange graph"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="coxfan",
                                  description="Exact cluster fans and generalized associahedra")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, with_coxeter=True):
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("datum", help='type label, e.g. "A3", "C3", "A1xA2"')
-        if with_coxeter:
+        if cmd.coxeter:
             p.add_argument("--coxeter", help="comma-separated node order, 1-based (default 1,..,n)")
-        p.add_argument("--format", default="text", choices=("text", "json"))
+        p.add_argument("--format", default=cmd.formats[0], choices=cmd.formats)
         p.add_argument("--output", help="write to a file instead of stdout")
-
-    p = sub.add_parser("orbits", help="tau-orbits of the weight labels")
-    common(p)
-    p.set_defaults(func=cmd_orbits)
-
-    p = sub.add_parser("polytope", help="build the generalized associahedron")
-    p.add_argument("datum")
-    p.add_argument("--coxeter")
-    p.add_argument("--f", default="default", help='"default" or comma-separated rationals')
-    p.add_argument("--format", default="json", choices=("json", "off"))
-    p.add_argument("--precision", type=_int_at_least(0), default=12)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_polytope)
-
-    p = sub.add_parser("conditions", help="admissibility conditions on f")
-    common(p, with_coxeter=False)
-    p.set_defaults(func=cmd_conditions)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("datum")
-    p.add_argument("--coxeter")
-    p.add_argument("--all-coxeter", action="store_true")
-    p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=_int_at_least(1), default=1000)
-    p.add_argument("--random-f", type=_int_at_least(0), default=20)
-    p.add_argument("--format", default="text", choices=("text", "json"))
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("compat", help="full compatibility table")
-    common(p)
-    p.set_defaults(func=cmd_compat)
-
-    p = sub.add_parser("clusters", help="all c-clusters")
-    common(p)
-    p.set_defaults(func=cmd_clusters)
-
-    p = sub.add_parser("expand", help="c-cluster expansion of a lattice point")
-    common(p)
-    p.add_argument("--point", required=True,
-                   help="comma-separated integers; write --point=-1,2 when the first is negative")
-    p.add_argument("--side", default="root", choices=("root", "weight"))
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("sorting-word", help="c-sorting word and factorization of a word")
-    common(p)
-    p.add_argument("--word", default="", help="comma-separated 1-based letters, empty = identity")
-    p.set_defaults(func=cmd_sorting_word)
-
-    p = sub.add_parser("singletons", help="all c-singletons")
-    common(p)
-    p.set_defaults(func=cmd_singletons)
-
-    p = sub.add_parser("exchange-graph", help="mutation-oracle exchange graph")
-    common(p)
-    p.set_defaults(func=cmd_exchange_graph)
+        for flag, kwargs in cmd.options:
+            p.add_argument(flag, **kwargs)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cmd = COMMANDS[args.command]
+    args.status = 0
     try:
-        return args.func(args)
+        datum = make_datum(args.datum)
+        c = None
+        if cmd.coxeter and not getattr(args, "all_coxeter", False):
+            c = _parse_coxeter(datum, args.coxeter)
+        result = cmd.func(args, datum, c)
+        docs = result if isinstance(result, tuple) else (result,)
+        header = {"datum": datum.label}
+        if cmd.json_coxeter:
+            header["coxeter"] = [i + 1 for i in c.order]
+        _emit(args.output, [{**header, **doc} if isinstance(doc, dict) else doc for doc in docs])
     except (CartanError, WeylError, PolytopeError, MutationError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
+    return args.status
 
 
 if __name__ == "__main__":

@@ -121,9 +121,7 @@ def _demote(x):
 
 def primitive(v: Vec) -> Vec:
     """Divide an integer vector by the gcd of its entries (zero vector unchanged)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
@@ -131,14 +129,6 @@ def primitive(v: Vec) -> Vec:
 
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v: Vec) -> Vec:
-    return tuple(c * x for x in v)
 
 
 def vec_dot(u: Vec, v: Vec):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from operator import mul
 
 from .cartan import (
@@ -176,7 +177,7 @@ class ClusterModel:
                 tgt = orb[(t + dist) % L]
                 steps[k] = (dist, self.labels[tgt].node)
         self.steps_to_neg = tuple(steps)
-        self.tau_order = _lcm_list([len(o) for o in orbits])
+        self.tau_order = lcm(*(len(o) for o in orbits))
 
     # --- tau and compatibility --------------------------------------------------------
 
@@ -448,15 +449,6 @@ def _bron_kerbosch(p, x, r, adj, out):
         _bron_kerbosch(p & adj[v], x & adj[v], r + [v], adj, out)
         p = p - {v}
         x = x | {v}
-
-
-def _lcm_list(xs):
-    from math import gcd
-
-    out = 1
-    for x in xs:
-        out = out * x // gcd(out, x)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Seed mutation oracle: coefficient-free clusters, g-vectors, exchange graph.
+"""Seed mutation oracle: clusters, g-vectors, exchange graph, principal coefficients.
 
 This side of the build never looks at the label combinatorics; it only mutates
 matrices and Laurent polynomials, so it can serve as an independent witness
@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import CartanDatum
+from .linalg import identity_mat
 from .model import ClusterModel
 from .weyl import CoxeterElement
 
@@ -174,38 +175,45 @@ class Seed:
     bmat: tuple      # current exchange matrix (square)
     cmat: tuple      # principal-coefficient rows (c-vectors as columns)
     gcols: tuple     # g-vector of each cluster variable
-    cluster: tuple   # LaurentPoly in the initial variables
+    cluster: tuple   # LaurentPoly in the initial cluster and frozen variables
+    frozen: tuple = ()   # frozen variables, one per row of cmat; empty when coefficient-free
 
     def key(self):
         return tuple(sorted(p.key() for p in self.cluster))
 
 
-def initial_seed(datum: CartanDatum, c: CoxeterElement) -> Seed:
+def initial_seed(datum: CartanDatum, c: CoxeterElement, principal: bool = False) -> Seed:
+    """The seed (B(c), x_1..x_n); with principal coefficients y_1..y_n are frozen variables."""
     n = datum.n
-    b = b_of_coxeter(datum, c).b
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    cluster = tuple(LaurentPoly.monomial(tuple(1 if t == i else 0 for t in range(n))) for i in range(n))
-    return Seed(bmat=b, cmat=ident, gcols=tuple(tuple(1 if t == i else 0 for t in range(n)) for i in range(n)),
-                cluster=cluster)
+    ident = identity_mat(n)
+    count = 2 * n if principal else n
+    variables = tuple(LaurentPoly.monomial(tuple(1 if t == i else 0 for t in range(count)))
+                      for i in range(count))
+    return Seed(bmat=b_of_coxeter(datum, c).b, cmat=ident, gcols=ident,
+                cluster=variables[:n], frozen=variables[n:])
 
 
 def mutate(seed: Seed, k: int, b0: tuple) -> Seed:
-    """Standard seed mutation at k, with the g-vector recurrence driven by c-vectors.
+    """Seed mutation at k over the extended exchange matrix [B; C].
 
-    Homogeneity under the principal grading gives
+    The exchange relation runs over cluster + frozen against the rows of
+    bmat + cmat, so a seed without frozen variables is coefficient-free and
+    one with y_1..y_n frozen carries principal coefficients.  Homogeneity
+    under the principal grading gives the g-vector recurrence
       g'_k = sum_i [b_ik]+ g_i - sum_j [c_jk]+ b0_j - g_k
     with b0_j the j-th column of the initial exchange matrix.
     """
     n = len(seed.bmat)
     b, cm, g = seed.bmat, seed.cmat, seed.gcols
-    num_plus = LaurentPoly.one(n)
-    num_minus = LaurentPoly.one(n)
-    for i in range(n):
-        bik = b[i][k]
+    nvars = n + len(seed.frozen)
+    num_plus = LaurentPoly.one(nvars)
+    num_minus = LaurentPoly.one(nvars)
+    for var, row in zip(seed.cluster + seed.frozen, b + cm):
+        bik = row[k]
         if bik > 0:
-            num_plus = num_plus * _power(seed.cluster[i], bik, n)
+            num_plus = num_plus * _power(var, bik, nvars)
         elif bik < 0:
-            num_minus = num_minus * _power(seed.cluster[i], -bik, n)
+            num_minus = num_minus * _power(var, -bik, nvars)
     new_var = exact_div(num_plus + num_minus, seed.cluster[k])
 
     gk = [0] * n
@@ -220,14 +228,39 @@ def mutate(seed: Seed, k: int, b0: tuple) -> Seed:
     for t in range(n):
         gk[t] -= g[k][t]
 
-    stacked = seed.bmat + seed.cmat
-    mutated = _mutate_rect(stacked, k, seed.bmat)
-    new_b, new_c = mutated[:n], mutated[n:]
+    mutated = _mutate_rect(b + cm, k, b)
     cluster = list(seed.cluster)
     cluster[k] = new_var
     gcols = list(g)
     gcols[k] = tuple(gk)
-    return Seed(bmat=new_b, cmat=new_c, gcols=tuple(gcols), cluster=tuple(cluster))
+    return Seed(bmat=mutated[:n], cmat=mutated[n:], gcols=tuple(gcols), cluster=tuple(cluster),
+                frozen=seed.frozen)
+
+
+def _seed_walk(seeds: list, b0: tuple, max_seeds: int):
+    """Breadth-first closure of the seed graph from seeds[0]; finite in finite type.
+
+    Each newly found seed is appended to ``seeds``.  Yields (sid, k, tid, new)
+    for every mutation: seed sid mutated at k is ``new``, equal up to the order
+    of its cluster to seed tid.
+    """
+    ids = {seeds[0].key(): 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for sid in frontier:
+            seed = seeds[sid]
+            for k in range(len(seed.cluster)):
+                new = mutate(seed, k, b0)
+                key = new.key()
+                if key not in ids:
+                    if len(seeds) >= max_seeds:
+                        raise MutationError(f"seed graph exceeded the cap of {max_seeds} seeds")
+                    ids[key] = len(seeds)
+                    seeds.append(new)
+                    nxt.append(ids[key])
+                yield sid, k, ids[key], new
+        frontier = nxt
 
 
 def _power(p: LaurentPoly, e: int, n: int) -> LaurentPoly:
@@ -251,36 +284,18 @@ def exchange_graph(datum: CartanDatum, c: CoxeterElement, rank_cap: int = 4,
     """Breadth-first closure of the seed graph from B(c); finite in finite type."""
     if datum.n > rank_cap:
         raise MutationError(f"rank {datum.n} exceeds the exchange-graph cap {rank_cap}")
-    b0 = b_of_coxeter(datum, c).b
     start = initial_seed(datum, c)
-    ids = {start.key(): 0}
     seeds = [start]
-    variables = {}
+    variables = dict(zip(start.gcols, start.cluster))
     edges = set()
-    for g, p in zip(start.gcols, start.cluster):
-        variables[g] = p
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for sid in frontier:
-            seed = seeds[sid]
-            for k in range(datum.n):
-                new = mutate(seed, k, b0)
-                key = new.key()
-                if key not in ids:
-                    if len(seeds) >= max_seeds:
-                        raise MutationError("exchange graph exceeded the seed cap")
-                    ids[key] = len(seeds)
-                    seeds.append(new)
-                    nxt.append(ids[key])
-                tid = ids[key]
-                gv_out, gv_in = seed.gcols[k], new.gcols[k]
-                for gv, poly in ((gv_out, seed.cluster[k]), (gv_in, new.cluster[k])):
-                    if variables.setdefault(gv, poly) != poly:
-                        raise MutationError("one g-vector carries two distinct variables")
-                a, b = sorted((sid, tid))
-                edges.add((a, b, *(sorted((gv_out, gv_in)))))
-        frontier = nxt
+    for sid, k, tid, new in _seed_walk(seeds, start.bmat, max_seeds):
+        seed = seeds[sid]
+        gv_out, gv_in = seed.gcols[k], new.gcols[k]
+        for gv, poly in ((gv_out, seed.cluster[k]), (gv_in, new.cluster[k])):
+            if variables.setdefault(gv, poly) != poly:
+                raise MutationError("one g-vector carries two distinct variables")
+        a, b = sorted((sid, tid))
+        edges.add((a, b, *(sorted((gv_out, gv_in)))))
     deg = [0] * len(seeds)
     for (a, b, _, _) in edges:
         deg[a] += 1
@@ -349,92 +364,18 @@ def verify_g_vectors_principal(datum: CartanDatum, c: CoxeterElement, max_seeds:
     g-vector produced by the matrix recurrence.  Raises on any mismatch.
     """
     n = datum.n
-    b0 = b_of_coxeter(datum, c).b
+    start = initial_seed(datum, c, principal=True)
+    b0 = start.bmat
 
     def grade(poly: LaurentPoly):
-        degs = set()
-        for e, _ in poly.terms.items():
-            d = [0] * n
-            for i in range(n):
-                for t in range(n):
-                    d[t] += e[i] * (1 if t == i else 0)
-            for j in range(n):
-                for t in range(n):
-                    d[t] -= e[n + j] * b0[t][j]
-            degs.add(tuple(d))
+        degs = {tuple(e[t] - sum(e[n + j] * b0[t][j] for j in range(n)) for t in range(n))
+                for e in poly.terms}
         if len(degs) != 1:
             raise MutationError("principal-coefficient variable is not homogeneous")
         return degs.pop()
 
-    start_cluster = tuple(
-        LaurentPoly.monomial(tuple(1 if t == i else 0 for t in range(2 * n))) for i in range(n)
-    )
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    start = Seed(bmat=b0, cmat=ident,
-                 gcols=tuple(tuple(1 if t == i else 0 for t in range(n)) for i in range(n)),
-                 cluster=start_cluster)
-    seen = {start.key()}
-    frontier = [start]
-    count = 0
-    gvecs = set(start.gcols)
-    while frontier:
-        nxt = []
-        for seed in frontier:
-            for k in range(n):
-                new = _mutate_principal(seed, k, b0)
-                if grade(new.cluster[k]) != new.gcols[k]:
-                    raise MutationError("matrix g-vector differs from the principal grading")
-                key = new.key()
-                if key not in seen:
-                    if len(seen) >= max_seeds:
-                        raise MutationError("principal BFS exceeded the seed cap")
-                    seen.add(key)
-                    nxt.append(new)
-                    gvecs.update(new.gcols)
-        frontier = nxt
-        count += len(nxt)
-    return len(gvecs)
-
-
-def _mutate_principal(seed: Seed, k: int, b0: tuple) -> Seed:
-    """Seed mutation carrying principal coefficients inside the Laurent ring (2n vars)."""
-    n = len(seed.bmat)
-    two_n = 2 * n
-    b, cm = seed.bmat, seed.cmat
-    num_plus = LaurentPoly.one(two_n)
-    num_minus = LaurentPoly.one(two_n)
-    for i in range(n):
-        bik = b[i][k]
-        if bik > 0:
-            num_plus = num_plus * _power(seed.cluster[i], bik, two_n)
-        elif bik < 0:
-            num_minus = num_minus * _power(seed.cluster[i], -bik, two_n)
-    for j in range(n):
-        cjk = cm[j][k]
-        if cjk > 0:
-            num_plus = num_plus * LaurentPoly.monomial(
-                tuple(cjk if t == n + j else 0 for t in range(two_n)))
-        elif cjk < 0:
-            num_minus = num_minus * LaurentPoly.monomial(
-                tuple(-cjk if t == n + j else 0 for t in range(two_n)))
-    new_var = exact_div(num_plus + num_minus, seed.cluster[k])
-
-    gk = [0] * n
-    for i in range(n):
-        if b[i][k] > 0:
-            for t in range(n):
-                gk[t] += b[i][k] * seed.gcols[i][t]
-    for j in range(n):
-        if cm[j][k] > 0:
-            for t in range(n):
-                gk[t] -= cm[j][k] * b0[t][j]
-    for t in range(n):
-        gk[t] -= seed.gcols[k][t]
-
-    stacked = seed.bmat + seed.cmat
-    mutated = _mutate_rect(stacked, k, seed.bmat)
-    cluster = list(seed.cluster)
-    cluster[k] = new_var
-    gcols = list(seed.gcols)
-    gcols[k] = tuple(gk)
-    return Seed(bmat=mutated[:n], cmat=mutated[n:], gcols=tuple(gcols), cluster=tuple(cluster))
+    seeds = [start]
+    for _, k, _, new in _seed_walk(seeds, b0, max_seeds):
+        if grade(new.cluster[k]) != new.gcols[k]:
+            raise MutationError("matrix g-vector differs from the principal grading")
+    return len({g for seed in seeds for g in seed.gcols})

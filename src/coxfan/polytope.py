@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cartan import CartanDatum
+from .cartan import CartanDatum, fmt_combo
 from .jsonout import dumps, write_json
-from .linalg import solve_fraction_free, vec_dot
+from .linalg import primitive, solve_fraction_free, vec_dot
 from .model import ClusterModel
 from .weyl import singletons
 
@@ -39,18 +39,7 @@ def f_conditions(datum: CartanDatum):
 
 def render_condition(row) -> str:
     """Human-readable form of sum_i row[i] f(i) > 0."""
-    parts = []
-    for i, x in enumerate(row):
-        if x == 0:
-            continue
-        term = f"f({i + 1})"
-        if x == 1:
-            parts.append(("+" if parts else "") + term)
-        elif x == -1:
-            parts.append("-" + term)
-        else:
-            parts.append(("+" if parts and x > 0 else "") + f"{x}{term}")
-    return "".join(parts) + " > 0"
+    return fmt_combo(row, "f({})") + " > 0"
 
 
 def folded_inequalities(datum: CartanDatum):
@@ -64,12 +53,7 @@ def folded_inequalities(datum: CartanDatum):
         acc = [0] * datum.n
         for i, x in enumerate(row):
             acc[rep[i]] += x
-        g = 0
-        for x in acc:
-            g = gcd(g, abs(x))
-        if g > 1:
-            acc = [x // g for x in acc]
-        folded.add(tuple(acc))
+        folded.add(primitive(acc))
     return equalities, tuple(sorted(folded))
 
 
@@ -152,10 +136,7 @@ class HRep:
     def canonical(self) -> tuple:
         out = []
         for fa in self.facets:
-            g = 0
-            for x in fa.normal:
-                g = gcd(g, abs(x))
-            g = g or 1
+            g = gcd(*fa.normal) or 1
             out.append((tuple(x // g for x in fa.normal), Fraction(fa.rhs) / g))
         return tuple(sorted(out))
 

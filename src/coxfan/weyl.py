@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cartan import CartanDatum, generate_roots
+from .cartan import CartanDatum, generate_roots, is_negative
 from .linalg import identity_mat, int_mat_inv, mat_mul, mat_vec
 
 
@@ -41,11 +41,7 @@ class WeylElement:
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""
         roots = generate_roots(self.datum).positive_roots
-        return sum(1 for r in roots if _is_neg(self.apply_root(r)))
-
-
-def _is_neg(coords: tuple) -> bool:
-    return all(x <= 0 for x in coords) and any(x < 0 for x in coords)
+        return sum(1 for r in roots if is_negative(self.apply_root(r)))
 
 
 @lru_cache(maxsize=None)
@@ -374,7 +370,7 @@ def c_sorting_word(c: CoxeterElement, w: WeylElement):
         for i in c.order:
             # s_i is a left descent of v exactly when v^{-1} alpha_i < 0.
             img = v_inv.apply_root(tuple(1 if k == i else 0 for k in range(datum.n)))
-            if _is_neg(img):
+            if is_negative(img):
                 s = simple_reflection(datum, i)
                 v = s * v
                 v_inv = v_inv * s
@@ -423,11 +419,6 @@ def w_m_word(c: CoxeterElement, m: int):
     return Word(tuple(letters)), tuple(blocks)
 
 
-def sorting_word_of_w0(c: CoxeterElement):
-    word, blocks = w_m_word(c, c.max_h())
-    return word, blocks
-
-
 def singletons(c: CoxeterElement) -> list:
     """Elements arising as prefixes, up to commutations, of the c-sorting word of w0.
 
@@ -435,7 +426,7 @@ def singletons(c: CoxeterElement) -> list:
     order on letter positions (p before q and the letters equal or adjacent).
     """
     datum = c.datum
-    word = sorting_word_of_w0(c)[0].letters
+    word = w_m_word(c, c.max_h())[0].letters   # the c-sorting word of w0
     L = len(word)
     preds = [tuple(
         p for p in range(q)

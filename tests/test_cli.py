@@ -356,13 +356,24 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "orbits", "A2", "--output", str(tmp_path / "missing" / "x"))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "No such file" in err
-    # the OFF body's path is writable but its exact sidecar's is not
+    # the OFF body's path is writable but its exact sidecar's is not: the old
+    # body survives unchanged and no temporary file is left behind
+    (tmp_path / "p.off").write_text("old body\n")
     (tmp_path / "p.off.json").mkdir()
     code, out, err = run(capsys, "polytope", "A3", "--format", "off",
                          "--output", str(tmp_path / "p.off"))
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert (tmp_path / "p.off").read_text() == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Is a directory" in err
+    assert (tmp_path / "p.off").read_text() == "old body\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.off", "p.off.json"]
+    # once the sidecar path is free, both files are replaced
+    (tmp_path / "p.off.json").rmdir()
+    code, _, _ = run(capsys, "polytope", "A3", "--format", "off",
+                     "--output", str(tmp_path / "p.off"))
+    assert code == 0
+    assert (tmp_path / "p.off").read_text().startswith("OFF\n14 9 21\n")
+    assert (tmp_path / "p.off.json").read_text().startswith("{")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.off", "p.off.json"]
 
 
 def test_off_decimals_round_half_away_from_zero(capsys):
@@ -402,3 +413,21 @@ def test_malformed_cli_strings_exit_0_or_2():
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
     check()
+
+
+def test_failed_write_keeps_old_files_and_leaves_no_temporary(monkeypatch, capsys, tmp_path):
+    import coxfan.cli as cli
+
+    def failing_export(model, f, hrep, vrep, write):
+        write("{partial")
+        raise OSError("disk full")
+
+    for name in ("p.off", "p.off.json"):
+        (tmp_path / name).write_text(f"old {name}\n")
+    monkeypatch.setattr(cli, "export_json", failing_export)
+    code, out, err = run(capsys, "polytope", "A3", "--format", "off",
+                         "--output", str(tmp_path / "p.off"))
+    assert code == 2 and out == "" and err == "error: disk full\n"
+    for name in ("p.off", "p.off.json"):
+        assert (tmp_path / name).read_text() == f"old {name}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.off", "p.off.json"]

@@ -216,7 +216,8 @@ def test_oracle_edges_match_model_exchangeable_pairs():
 
 
 def test_principal_grading_more_types():
-    for label in ("G2", "C3", "A1xA1"):
+    # A1xA2: a product with a rank-2 component; B3: non-simply-laced rank 3
+    for label in ("G2", "C3", "A1xA1", "A1xA2", "B3"):
         d = make_datum(label)
         c = coxeter_from_order(d, tuple(range(d.n)))
         m = build_model(d, c)
