@@ -274,7 +274,6 @@ def reflect_weight(datum: CartanDatum, i: int, coords: tuple) -> tuple:
 class RootSystem:
     datum: CartanDatum
     positive_roots: tuple          # root-basis coordinate tuples, sorted by (height, coords)
-    index: dict
     coxeter_numbers: tuple         # one entry per component of the datum
 
     @property
@@ -299,7 +298,6 @@ def generate_roots(datum: CartanDatum) -> RootSystem:
                     nxt.append(img)
         frontier = nxt
     positives = tuple(sorted(seen, key=lambda r: (sum(r), r)))
-    index = {r: k for k, r in enumerate(positives)}
     cox = []
     for comp in datum.components:
         count = sum(1 for r in positives if any(r[i] for i in comp))
@@ -307,7 +305,7 @@ def generate_roots(datum: CartanDatum) -> RootSystem:
         if rem:
             raise CartanError("component root count is inconsistent")
         cox.append(h)
-    return RootSystem(datum=datum, positive_roots=positives, index=index, coxeter_numbers=tuple(cox))
+    return RootSystem(datum=datum, positive_roots=positives, coxeter_numbers=tuple(cox))
 
 
 def support_of_root(coords: tuple) -> frozenset:

@@ -33,7 +33,6 @@ from .polytope import (
     f_conditions,
     render_condition,
     vertices,
-    violated_condition,
 )
 from .verify import SUITES, run_suite
 from .weyl import (
@@ -42,6 +41,7 @@ from .weyl import (
     c_sorting_word,
     coxeter_from_order,
     is_antisortable,
+    is_sortable,
     singletons,
     word_to_element,
 )
@@ -69,11 +69,6 @@ def _parse_f(datum, text):
         vals = tuple(Fraction(x) for x in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise PolytopeError(f"cannot parse f {text!r}")
-    if len(vals) != datum.n:
-        raise PolytopeError("f has the wrong arity")
-    problem = violated_condition(datum, vals)
-    if problem:
-        raise PolytopeError(f"invalid f: violated condition {problem}")
     return SupportData.make(datum, vals)
 
 
@@ -245,7 +240,7 @@ def cmd_sorting_word(args, datum, c):
     letters = tuple(int(x) - 1 for x in args.word.split(",")) if args.word else ()
     w = word_to_element(datum, letters)
     word, blocks = c_sorting_word(c, w)
-    sortable = all(blocks[k + 1] <= blocks[k] for k in range(len(blocks) - 1))
+    sortable = is_sortable(c, w)
     anti = is_antisortable(c, w)
     if args.format == "json":
         return {
@@ -365,10 +360,11 @@ def main(argv=None) -> int:
     cmd = COMMANDS[args.command]
     args.status = 0
     try:
+        all_coxeter = getattr(args, "all_coxeter", False)
+        if all_coxeter and args.coxeter is not None:
+            raise ValueError("--all-coxeter and --coxeter exclude each other")
         datum = make_datum(args.datum)
-        c = None
-        if cmd.coxeter and not getattr(args, "all_coxeter", False):
-            c = _parse_coxeter(datum, args.coxeter)
+        c = _parse_coxeter(datum, args.coxeter) if cmd.coxeter and not all_coxeter else None
         result = cmd.func(args, datum, c)
         docs = result if isinstance(result, tuple) else (result,)
         header = {"datum": datum.label}

@@ -32,13 +32,6 @@ def write_json(obj, write) -> None:
     write("".join(batch))
 
 
-def dumps(obj) -> str:
-    """The whole document as one string, from the same writer."""
-    out = []
-    write_json(obj, out.append)
-    return "".join(out)
-
-
 def _leaf(o, level):
     """Text of a scalar or of a non-empty flat list of ints or of strings; else None."""
     if isinstance(o, str):

@@ -21,10 +21,6 @@ def identity_mat(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
-
-
 def bareiss_det(a: Mat) -> int:
     """Fraction-free determinant of an integer matrix."""
     m = [list(row) for row in a]

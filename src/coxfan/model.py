@@ -16,7 +16,6 @@ from .cartan import (
     CartanDatum,
     generate_roots,
     reflect_root,
-    root_to_weight,
     support_of_root,
     weight_to_root_int,
 )
@@ -206,9 +205,6 @@ class ClusterModel:
     def compat(self, a: int, b: int) -> int:
         return self.compat_table()[a][b]
 
-    def compatible(self, a: int, b: int) -> bool:
-        return a != b and self.compat(a, b) == 0
-
     # --- clusters ---------------------------------------------------------------------
 
     def clusters(self):
@@ -384,29 +380,6 @@ class ClusterModel:
             result = (s, next(v for v in values if v != s))
         self._uplus_cache[key] = result
         return result
-
-    def uplus_weight(self, a: int, b: int):
-        """uplus transported to the weight side through phi_c^{-1}."""
-        s, u = self.uplus(a, b)
-        return (vec_add(self.labels[a].weight, self.labels[b].weight),
-                self._phi_inverse(u))
-
-    def _phi_inverse(self, gamma: tuple) -> tuple:
-        cinv = self.c.wel.inverse()
-        phi = tuple(
-            tuple(cinv.mw[r][k] - (1 if r == k else 0) for k in range(self.n))
-            for r in range(self.n)
-        )
-        y = root_to_weight(self.datum, gamma)
-        from .linalg import solve_fraction_free
-
-        sol = solve_fraction_free(phi, y)
-        out = []
-        for x in sol:
-            if getattr(x, "denominator", 1) != 1:
-                raise ModelError("phi_c inverse left the weight lattice")
-            out.append(int(x))
-        return tuple(out)
 
     # --- serialization -----------------------------------------------------------------
 

@@ -18,6 +18,11 @@ class MutationError(ValueError):
     pass
 
 
+_DIV_STEPS = 100000          # exact_div gives up after this many elimination steps
+_GRAPH_SEED_CAP = 50000      # exchange_graph gives up after finding this many seeds
+_PRINCIPAL_SEED_CAP = 2000   # and verify_g_vectors_principal after this many
+
+
 # --- exact Laurent polynomials over Z ---------------------------------------------------
 
 class LaurentPoly:
@@ -35,10 +40,6 @@ class LaurentPoly:
     @staticmethod
     def one(n: int) -> "LaurentPoly":
         return LaurentPoly({(0,) * n: 1})
-
-    @staticmethod
-    def const(n: int, c: int) -> "LaurentPoly":
-        return LaurentPoly({(0,) * n: c}) if c else LaurentPoly()
 
     def __bool__(self):
         return bool(self.terms)
@@ -76,13 +77,13 @@ class LaurentPoly:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def render(self, names=None) -> str:
+    def render(self) -> str:
         if not self.terms:
             return "0"
         parts = []
         for e, c in sorted(self.terms.items(), reverse=True):
             mono = "*".join(
-                (names[i] if names else f"x{i + 1}") + (f"^{p}" if p != 1 else "")
+                f"x{i + 1}" + (f"^{p}" if p != 1 else "")
                 for i, p in enumerate(e) if p
             )
             if not mono:
@@ -96,7 +97,7 @@ class LaurentPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def exact_div(p: LaurentPoly, q: LaurentPoly, max_steps: int = 100000) -> LaurentPoly:
+def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """p / q when the quotient is again Laurent with integer coefficients.
 
     Classic leading-term elimination in the lex order; any failure here is a
@@ -117,23 +118,14 @@ def exact_div(p: LaurentPoly, q: LaurentPoly, max_steps: int = 100000) -> Lauren
         quot[e] = quot.get(e, 0) + c
         rem = rem - LaurentPoly({e: c}) * q
         steps += 1
-        if steps > max_steps:
+        if steps > _DIV_STEPS:
             raise MutationError("division does not terminate; quotient is not Laurent")
     return LaurentPoly(quot)
 
 
 # --- exchange matrices and seeds ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
-    b: tuple
-
-    @property
-    def n(self):
-        return len(self.b)
-
-
-def b_of_coxeter(datum: CartanDatum, c: CoxeterElement) -> ExchangeMatrix:
+def b_of_coxeter(datum: CartanDatum, c: CoxeterElement) -> tuple:
     """B(c): -a_ij when i precedes j, +a_ij when j precedes i, 0 off the diagram."""
     n = datum.n
     b = [[0] * n for _ in range(n)]
@@ -149,7 +141,7 @@ def b_of_coxeter(datum: CartanDatum, c: CoxeterElement) -> ExchangeMatrix:
         for j in range(n):
             if d[i] * b[i][j] != -d[j] * b[j][i]:
                 raise MutationError("B(c) is not skew-symmetrizable")
-    return ExchangeMatrix(tuple(tuple(row) for row in b))
+    return tuple(tuple(row) for row in b)
 
 
 def _mutate_rect(mat, k, top):
@@ -189,7 +181,7 @@ def initial_seed(datum: CartanDatum, c: CoxeterElement, principal: bool = False)
     count = 2 * n if principal else n
     variables = tuple(LaurentPoly.monomial(tuple(1 if t == i else 0 for t in range(count)))
                       for i in range(count))
-    return Seed(bmat=b_of_coxeter(datum, c).b, cmat=ident, gcols=ident,
+    return Seed(bmat=b_of_coxeter(datum, c), cmat=ident, gcols=ident,
                 cluster=variables[:n], frozen=variables[n:])
 
 
@@ -279,8 +271,7 @@ class ExchangeGraph:
     variables: dict              # g-vector -> LaurentPoly
 
 
-def exchange_graph(datum: CartanDatum, c: CoxeterElement, rank_cap: int = 4,
-                   max_seeds: int = 50000) -> ExchangeGraph:
+def exchange_graph(datum: CartanDatum, c: CoxeterElement, rank_cap: int = 4) -> ExchangeGraph:
     """Breadth-first closure of the seed graph from B(c); finite in finite type."""
     if datum.n > rank_cap:
         raise MutationError(f"rank {datum.n} exceeds the exchange-graph cap {rank_cap}")
@@ -288,7 +279,7 @@ def exchange_graph(datum: CartanDatum, c: CoxeterElement, rank_cap: int = 4,
     seeds = [start]
     variables = dict(zip(start.gcols, start.cluster))
     edges = set()
-    for sid, k, tid, new in _seed_walk(seeds, start.bmat, max_seeds):
+    for sid, k, tid, new in _seed_walk(seeds, start.bmat, _GRAPH_SEED_CAP):
         seed = seeds[sid]
         gv_out, gv_in = seed.gcols[k], new.gcols[k]
         for gv, poly in ((gv_out, seed.cluster[k]), (gv_in, new.cluster[k])):
@@ -306,16 +297,21 @@ def exchange_graph(datum: CartanDatum, c: CoxeterElement, rank_cap: int = 4,
                          variables=variables)
 
 
-def cluster_monomial(graph: ExchangeGraph, model: ClusterModel, weight_point: tuple) -> LaurentPoly:
-    """x_{mu}: product of variables over the cluster expansion of a weight point."""
+def cluster_monomial(graph: ExchangeGraph, model: ClusterModel, root_point: tuple) -> LaurentPoly:
+    """x_gamma: product of variables over the c-cluster expansion of a root point."""
     out = LaurentPoly.one(graph.datum.n)
-    for idx, coeff in model.expand_weight(weight_point).items():
+    for idx, coeff in model.expand_root(root_point).items():
         out = out * _power(graph.variables[model.labels[idx].weight], coeff, graph.datum.n)
     return out
 
 
 def verify_exchange_relations(graph: ExchangeGraph, model: ClusterModel) -> list:
-    """Check x_l * x_m = x_{l+m} + x_{l (+) m} on every exchange edge; list failures."""
+    """Check x_l * x_m = x_{l+m} + x_{l (+) m} on every exchange edge; list failures.
+
+    The relation is linear in the labels and phi_c = c^{-1} - 1 carries each
+    weight label to its root label, so both monomials come from root-side
+    expansions of the pair's sum and of its companion under uplus.
+    """
     problems = []
     for (_, _, g1, g2) in graph.edges:
         a = model.id_by_weight.get(g1)
@@ -326,9 +322,9 @@ def verify_exchange_relations(graph: ExchangeGraph, model: ClusterModel) -> list
         if not (model.compat(a, b) == 1 and model.compat(b, a) == 1):
             problems.append(("not-exchangeable", g1, g2))
             continue
-        s_w, u_w = model.uplus_weight(a, b)
+        s, u = model.uplus(a, b)
         lhs = graph.variables[g1] * graph.variables[g2]
-        rhs = cluster_monomial(graph, model, s_w) + cluster_monomial(graph, model, u_w)
+        rhs = cluster_monomial(graph, model, s) + cluster_monomial(graph, model, u)
         if lhs != rhs:
             problems.append(("identity-failed", g1, g2))
     return problems
@@ -356,7 +352,7 @@ def exchange_graph_json(graph: ExchangeGraph) -> dict:
 
 # --- principal-coefficient cross-check ---------------------------------------------------
 
-def verify_g_vectors_principal(datum: CartanDatum, c: CoxeterElement, max_seeds: int = 2000) -> int:
+def verify_g_vectors_principal(datum: CartanDatum, c: CoxeterElement) -> int:
     """Recompute g-vectors by reading principal-coefficient degrees; count variables.
 
     Each cluster variable with principal coefficients is homogeneous under
@@ -375,7 +371,7 @@ def verify_g_vectors_principal(datum: CartanDatum, c: CoxeterElement, max_seeds:
         return degs.pop()
 
     seeds = [start]
-    for _, k, _, new in _seed_walk(seeds, b0, max_seeds):
+    for _, k, _, new in _seed_walk(seeds, b0, _PRINCIPAL_SEED_CAP):
         if grade(new.cluster[k]) != new.gcols[k]:
             raise MutationError("matrix g-vector differs from the principal grading")
     return len({g for seed in seeds for g in seed.gcols})

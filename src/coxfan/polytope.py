@@ -6,13 +6,13 @@ and incidence decisions are exact (integer/Fraction arithmetic only).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .cartan import CartanDatum, fmt_combo
-from .jsonout import dumps, write_json
+from .jsonout import write_json
 from .linalg import primitive, solve_fraction_free, vec_dot
 from .model import ClusterModel
 from .weyl import singletons
@@ -27,7 +27,8 @@ class PolytopeError(ValueError):
 def f_conditions(datum: CartanDatum):
     """Constraints on f: equalities f(i)=f(i*) and one strict inequality per column.
 
-    Returns (equalities, rows) where each row r encodes sum_i r[i] f(i) > 0.
+    Returns (equalities, rows) where each row r encodes sum_i r[i] f(i) > 0;
+    the rows are those of A^T.
     """
     from .weyl import node_involution
 
@@ -70,7 +71,7 @@ class SupportData:
             raise PolytopeError("f has the wrong arity")
         problem = violated_condition(datum, vals)
         if problem:
-            raise PolytopeError(f"invalid support data: {problem}")
+            raise PolytopeError(f"invalid f: violated condition {problem}")
         return SupportData(vals)
 
     def __getitem__(self, i: int) -> Fraction:
@@ -84,18 +85,18 @@ def violated_condition(datum: CartanDatum, values) -> str:
     for i, j in equalities:
         if vals[i] != vals[j]:
             return f"f({i + 1}) = f({j + 1})"
-    for row in rows:
-        if sum(r * v for r, v in zip(row, vals)) <= 0:
-            return render_condition(row)
-    return ""
+    row = _chamber_wall(rows, vals)
+    return render_condition(row) if row else ""
+
+
+def _chamber_wall(rows, a):
+    """The first row r of A^T with <r, a> <= 0, or None when A^T a > 0."""
+    return next((row for row in rows if sum(map(mul, row, a)) <= 0), None)
 
 
 def default_f(datum: CartanDatum) -> SupportData:
     """The exact solution of A^T f = (1,...,1); admissible for every finite type."""
-    n = datum.n
-    at = tuple(tuple(datum.cartan[i][j] for i in range(n)) for j in range(n))
-    f = solve_fraction_free(at, (1,) * n)
-    return SupportData.make(datum, f)
+    return SupportData.make(datum, solve_fraction_free(f_conditions(datum)[1], (1,) * datum.n))
 
 
 def random_valid_f(datum: CartanDatum, rng) -> SupportData:
@@ -116,8 +117,7 @@ def random_valid_f(datum: CartanDatum, rng) -> SupportData:
             val = Fraction(rng.randint(1, 60), rng.randint(1, 12))
             r[j] = val
             r[istar[j]] = val
-    at = tuple(tuple(datum.cartan[i][j] for i in range(n)) for j in range(n))
-    return SupportData.make(datum, solve_fraction_free(at, tuple(r)))
+    return SupportData.make(datum, solve_fraction_free(f_conditions(datum)[1], tuple(r)))
 
 
 # --- H- and V-representations ------------------------------------------------------------
@@ -228,12 +228,14 @@ def check_polytopality(model: ClusterModel, f_values) -> list:
 
 # --- the Cambrian construction ------------------------------------------------------------
 
-def chamber_point(datum: CartanDatum, f: SupportData) -> tuple:
-    """The point a with (a, omega_i) = f(i); raises unless a is strictly dominant."""
-    a = f.values
-    for j in range(datum.n):
-        if sum(datum.cartan[i][j] * a[i] for i in range(datum.n)) <= 0:
-            raise PolytopeError("point is not interior to the fundamental chamber")
+def chamber_point(datum: CartanDatum, pairings) -> tuple:
+    """The point a with (a, omega_i) = pairings[i]; raises unless a is strictly dominant.
+
+    Only A^T a > 0 is asked: unlike support data, a need not be i*-symmetric.
+    """
+    a = tuple(Fraction(x) for x in pairings)
+    if _chamber_wall(f_conditions(datum)[1], a):
+        raise PolytopeError("point is not interior to the fundamental chamber")
     return a
 
 
@@ -251,10 +253,7 @@ def cambrian_rays(model: ClusterModel):
 
 def cambrian_hrep(model: ClusterModel, a_pairings) -> HRep:
     """Half-space phi(w omega_j) <= (a, omega_j) for every Cambrian ray."""
-    a = tuple(Fraction(x) for x in a_pairings)
-    for j in range(model.n):
-        if sum(model.datum.cartan[i][j] * a[i] for i in range(model.n)) <= 0:
-            raise PolytopeError("pairing tuple lies outside the open chamber")
+    a = chamber_point(model.datum, a_pairings)
     facets = []
     for point, j in sorted(cambrian_rays(model).items()):
         facets.append(Facet(normal=point, rhs=a[j], tag=(j + 1, -1)))
@@ -332,19 +331,11 @@ def _frac_str(x) -> str:
     return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
-def _frac_parse(s):
-    if isinstance(s, int):
-        return Fraction(s)
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den or 1))
+def export_json(model: ClusterModel, f: SupportData, hrep: HRep, vrep: VRep, write) -> None:
+    """Write the exact polytope document: f, the facets, one vertex per cluster and the edges.
 
-
-def export_json(model: ClusterModel, f: SupportData, hrep: HRep, vrep: VRep, write=None):
-    """The exact polytope document: f, the facets, one vertex per cluster and the edges.
-
-    With ``write`` the document goes through it in bounded batches and None is
-    returned; without, it is returned as one string.  Vertex records are made
-    one at a time as they are written.
+    The document goes through ``write`` in bounded batches; vertex records are
+    made one at a time as they are written.
     """
     data = {
         "datum": model.datum.label,
@@ -360,20 +351,4 @@ def export_json(model: ClusterModel, f: SupportData, hrep: HRep, vrep: VRep, wri
         ),
         "edges": vrep.edges,
     }
-    if write is None:
-        return dumps(data)
     write_json(data, write)
-    return None
-
-
-def load_json(text: str):
-    """Inverse of export_json, returning (facets, vertices, clusters, edges)."""
-    data = json.loads(text)
-    facets = tuple(
-        Facet(tuple(fa["normal"]), _frac_parse(fa["rhs"]), (fa["label"]["i"], fa["label"]["m"]))
-        for fa in data["facets"]
-    )
-    verts = tuple(tuple(_frac_parse(x) for x in v["coords"]) for v in data["vertices"])
-    clusters = tuple(tuple(v["cluster"]) for v in data["vertices"])
-    edges = tuple(tuple(e) for e in data["edges"])
-    return facets, verts, clusters, edges

@@ -51,6 +51,9 @@ def _check(name, ok, detail=""):
 
 SUITES = ("fan", "polytope", "cambrian", "exchange", "sorting", "maps")
 
+MAPS_EXHAUSTIVE_RANK = 3   # the maps suite checks every label pair up to this rank
+MAPS_SAMPLES = 400         # and this many random pairs above it
+
 
 def run_suite(name: str, datum: CartanDatum, c: CoxeterElement, seed: int = 0,
               points: int = 1000, random_fs: int = 20, group_cap: int = 200,
@@ -64,7 +67,7 @@ def run_suite(name: str, datum: CartanDatum, c: CoxeterElement, seed: int = 0,
     if name == "exchange":
         return suite_exchange(datum, c, rank_cap=rank_cap)
     if name == "sorting":
-        return suite_sorting(datum, c, seed=seed, brute_force_cap=group_cap)
+        return suite_sorting(datum, c, brute_force_cap=group_cap)
     if name == "maps":
         return suite_maps(datum, c, seed=seed)
     raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
@@ -203,8 +206,7 @@ def suite_exchange(datum: CartanDatum, c: CoxeterElement, rank_cap: int = 4) -> 
 
 # --- sorting: section-6 machinery --------------------------------------------------------
 
-def suite_sorting(datum: CartanDatum, c: CoxeterElement, seed: int = 0,
-                  brute_force_cap: int = 200) -> list:
+def suite_sorting(datum: CartanDatum, c: CoxeterElement, brute_force_cap: int = 200) -> list:
     results = []
     w0 = longest_element(datum)
     word, blocks = w_m_word(c, c.max_h())
@@ -273,15 +275,19 @@ def _table_preserved(src: ClusterModel, dst: ClusterModel, mapping, pairs) -> bo
     return all(src.compat(a, b) == dst.compat(mapping[a], mapping[b]) for a, b in pairs)
 
 
-def suite_maps(datum: CartanDatum, c: CoxeterElement, seed: int = 0,
-               exhaustive_rank: int = 3, samples: int = 400) -> list:
+def suite_maps(datum: CartanDatum, c: CoxeterElement, seed: int = 0) -> list:
     model = build_model(datum, c)
     L = len(model.labels)
     rng = random.Random(seed)
-    if datum.n <= exhaustive_rank:
-        pairs = [(a, b) for a in range(L) for b in range(L)]
-    else:
-        pairs = [(rng.randrange(L), rng.randrange(L)) for _ in range(samples)]
+
+    def id_pairs(size, exhaustive):
+        """Every pair of ids below size, or MAPS_SAMPLES random pairs."""
+        if exhaustive:
+            return [(a, b) for a in range(size) for b in range(size)]
+        return [(rng.randrange(size), rng.randrange(size)) for _ in range(MAPS_SAMPLES)]
+
+    exhaustive = datum.n <= MAPS_EXHAUSTIVE_RANK
+    pairs = id_pairs(L, exhaustive)
     results = []
 
     phi_ok = all(model.compat(a, b) == compat_pi_independent(model, a, b) for a, b in pairs)
@@ -306,8 +312,7 @@ def suite_maps(datum: CartanDatum, c: CoxeterElement, seed: int = 0,
             continue
         sub, emb, _ = iota_map(model, nodes)
         ls = len(sub.labels)
-        sub_pairs = [(a, b) for a in range(ls) for b in range(ls)] if ls * ls <= 4 * samples else \
-            [(rng.randrange(ls), rng.randrange(ls)) for _ in range(samples)]
+        sub_pairs = id_pairs(ls, ls * ls <= 4 * MAPS_SAMPLES)
         iota_ok = iota_ok and all(
             sub.compat(a, b) == model.compat(emb[a], emb[b]) for a, b in sub_pairs)
     results.append(_check("iota", iota_ok, "restriction preserves the degree"))
@@ -317,10 +322,7 @@ def suite_maps(datum: CartanDatum, c: CoxeterElement, seed: int = 0,
         mt = build_model(datum, oracle.t)
         tm = oracle.t_minus_map(mt)
         Lo = len(oracle.roots)
-        if datum.n <= exhaustive_rank:
-            opairs = [(a, b) for a in range(Lo) for b in range(Lo)]
-        else:
-            opairs = [(rng.randrange(Lo), rng.randrange(Lo)) for _ in range(samples)]
+        opairs = id_pairs(Lo, exhaustive)
         t_ok = all(oracle.compat(a, b) == mt.compat(tm[a], tm[b]) for a, b in opairs)
         t_ok = t_ok and all(mt.tau(tm[a]) == tm[oracle.tau(-1, oracle.tau(1, a))]
                             for a in range(Lo))

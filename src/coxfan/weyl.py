@@ -85,31 +85,8 @@ class Word:
     def element(self, datum: CartanDatum) -> WeylElement:
         return word_to_element(datum, self.letters)
 
-    def is_reduced(self, datum: CartanDatum) -> bool:
-        return self.element(datum).length() == len(self.letters)
-
     def render(self) -> str:
         return "".join(f"s{i + 1}" for i in self.letters) if self.letters else "e"
-
-
-def commutation_class(datum: CartanDatum, letters: tuple, limit: int = 200000) -> set:
-    """All words reachable by swapping adjacent commuting letters."""
-    seen = {tuple(letters)}
-    frontier = [tuple(letters)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for k in range(len(w) - 1):
-                a, b = w[k], w[k + 1]
-                if a != b and datum.cartan[a][b] == 0:
-                    w2 = w[:k] + (b, a) + w[k + 2:]
-                    if w2 not in seen:
-                        seen.add(w2)
-                        nxt.append(w2)
-        frontier = nxt
-        if len(seen) > limit:
-            raise WeylError("commutation class too large")
-    return seen
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -59,10 +60,8 @@ def test_polytope_off(capsys, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "OFF" and lines[1] == "14 9 21"
     # exact sidecar accompanies the decimal OFF body
-    from coxfan.polytope import load_json
-
-    facets, verts, clusters, edges = load_json((tmp_path / "a3.off.json").read_text())
-    assert len(verts) == 14 and len(edges) == 21
+    sidecar = json.loads((tmp_path / "a3.off.json").read_text())
+    assert len(sidecar["vertices"]) == 14 and len(sidecar["edges"]) == 21
 
 
 def test_polytope_json_schema_and_roundtrip(capsys):
@@ -70,10 +69,8 @@ def test_polytope_json_schema_and_roundtrip(capsys):
     assert code == 0
     payload = json.loads(out)
     validate(payload, "polytope.schema.json")
-    from coxfan.polytope import load_json
-
-    facets, verts, clusters, edges = load_json(out)
-    assert len(verts) == 14 and len(facets) == 9 and len(edges) == 21
+    assert len(payload["vertices"]) == 14 and len(payload["facets"]) == 9
+    assert len(payload["edges"]) == 21
 
 
 def test_polytope_invalid_f_exit_2(capsys):
@@ -90,6 +87,14 @@ def test_bad_label_exit_2(capsys):
 def test_bad_coxeter_exit_2(capsys):
     code, _, err = run(capsys, "orbits", "A3", "--coxeter", "1,1,2")
     assert code == 2
+
+
+def test_all_coxeter_and_coxeter_exclude_each_other(capsys):
+    for order in ("1,2", "9,9,9"):
+        code, out, err = run(capsys, "verify", "A2", "--all-coxeter", "--coxeter", order,
+                             "--suite", "cambrian")
+        assert code == 2 and out == ""
+        assert err == "error: --all-coxeter and --coxeter exclude each other\n"
 
 
 def test_verify_suites_pass(capsys):
@@ -327,7 +332,7 @@ def test_polytope_json_round_trips_to_exact_vertices():
 
     from coxfan.cartan import make_datum
     from coxfan.model import build_model
-    from coxfan.polytope import build_hrep, load_json, random_valid_f, vertices
+    from coxfan.polytope import build_hrep, random_valid_f, vertices
     from coxfan.weyl import coxeter_from_order
 
     @settings(max_examples=25, deadline=None)
@@ -344,10 +349,12 @@ def test_polytope_json_round_trips_to_exact_vertices():
         model = build_model(datum, coxeter_from_order(datum, tuple(order)))
         hrep = build_hrep(model, f)
         vrep = vertices(model, hrep)
-        facets, verts, clusters, edges = load_json(sink.getvalue())
-        assert facets == hrep.facets
-        assert verts == vrep.vertices
-        assert clusters == vrep.clusters and edges == vrep.edges
+        data = json.loads(sink.getvalue())
+        assert [(tuple(fa["normal"]), Fraction(fa["rhs"]), (fa["label"]["i"], fa["label"]["m"]))
+                for fa in data["facets"]] == [(fa.normal, fa.rhs, fa.tag) for fa in hrep.facets]
+        assert tuple(tuple(Fraction(x) for x in v["coords"]) for v in data["vertices"]) == vrep.vertices
+        assert tuple(tuple(v["cluster"]) for v in data["vertices"]) == vrep.clusters
+        assert tuple(tuple(e) for e in data["edges"]) == vrep.edges
 
     check()
 

@@ -8,7 +8,7 @@ import pytest
 
 from coxfan.cartan import make_datum
 from coxfan.cli import main
-from coxfan.jsonout import BATCH_CHARS, dumps, write_json
+from coxfan.jsonout import BATCH_CHARS, write_json
 from coxfan.model import build_model
 from coxfan.polytope import build_hrep, default_f, export_json, vertices
 from coxfan.weyl import coxeter_from_order
@@ -16,6 +16,13 @@ from coxfan.weyl import coxeter_from_order
 
 def reference(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def dumps(data) -> str:
+    """Everything write_json writes for ``data``, joined."""
+    parts = []
+    write_json(data, parts.append)
+    return "".join(parts)
 
 
 def run(capsys, *argv):
@@ -96,7 +103,9 @@ def test_e6_polytope_is_written_in_many_bounded_batches():
     model = build_model(datum, coxeter_from_order(datum, tuple(range(6))))
     f = default_f(datum)
     hrep = build_hrep(model, f)
-    text = export_json(model, f, hrep, vertices(model, hrep))
+    parts = []
+    export_json(model, f, hrep, vertices(model, hrep), parts.append)
+    text = "".join(parts)
     assert text == reference(json.loads(text))
 
     sink = Recorder()

@@ -15,7 +15,6 @@ from coxfan.linalg import (
     primitive,
     solve_exact,
     solve_fraction_free,
-    transpose,
 )
 
 
@@ -72,8 +71,7 @@ def test_int_mat_inv_requires_unimodular():
         int_mat_inv(((2, 0), (0, 1)))
 
 
-def test_primitive_and_transpose():
+def test_primitive():
     assert primitive((4, -6, 2)) == (2, -3, 1)
     assert primitive((0, 0)) == (0, 0)
     assert primitive((3,)) == (1,)
-    assert transpose(((1, 2), (3, 4))) == ((1, 3), (2, 4))

@@ -254,10 +254,12 @@ def test_tau_extend_on_labels_and_bijectivity():
             assert m.tau_extend_root(-e, m.tau_extend_root(e, gamma)) == gamma
 
 
-def test_uplus_a2_pi_side():
+def test_uplus_a2_sum_is_the_label_of_the_weight_sum():
+    # omega_1 + (-omega_1 + omega_2) = omega_2: phi_c is linear, so the root-side
+    # sum of the pair is the root label of omega_2, and the companion is 0.
     ids = by_origin(MA2)
-    s, u = MA2.uplus_weight(ids[(0, 0)], ids[(0, 1)])
-    assert s == (0, 1) and u == (0, 0)
+    s, u = MA2.uplus(ids[(0, 0)], ids[(0, 1)])
+    assert s == MA2.labels[MA2.id_by_weight[(0, 1)]].root and u == (0, 0)
 
 
 def test_uplus_rank_one_pair_is_zero():

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from coxfan.cartan import make_datum
-from coxfan.model import build_model
+from coxfan.cli import main
+from coxfan.model import ClusterModel, build_model
 from coxfan.mutation import (
     LaurentPoly,
     MutationError,
@@ -31,7 +33,7 @@ def test_laurent_basics():
     one = LaurentPoly.one(2)
     p = (x + y) * (x - y)
     assert p == x * x - y * y
-    assert (x + one) * (x + one) == x * x + LaurentPoly.const(2, 2) * x + one
+    assert (x + one) * (x + one) == x * x + LaurentPoly.monomial((0, 0), 2) * x + one
     assert not (x - x)
     assert LaurentPoly.monomial((-1, 2), 3).render() == "3*x1^-1*x2^2"
 
@@ -45,27 +47,27 @@ def test_exact_div():
     inv = LaurentPoly.monomial((-1,))
     assert exact_div(one + x, x) == inv + one
     with pytest.raises(MutationError):
-        exact_div(x + one, LaurentPoly.const(1, 2))
+        exact_div(x + one, LaurentPoly.monomial((0,), 2))
     with pytest.raises(MutationError):
         exact_div(x * x + one, x + one)
 
 
 def test_b_of_coxeter_examples():
-    assert b_of_coxeter(A2, CA2).b == ((0, 1), (-1, 0))
-    assert b_of_coxeter(A2, CA2.inverse()).b == ((0, -1), (1, 0))
+    assert b_of_coxeter(A2, CA2) == ((0, 1), (-1, 0))
+    assert b_of_coxeter(A2, CA2.inverse()) == ((0, -1), (1, 0))
     b2 = make_datum("B2")
     c = coxeter_from_order(b2, (0, 1))
-    assert b_of_coxeter(b2, c).b == ((0, 1), (-2, 0))
+    assert b_of_coxeter(b2, c) == ((0, 1), (-2, 0))
     a1a1 = make_datum("A1xA1")
-    assert b_of_coxeter(a1a1, coxeter_from_order(a1a1, (0, 1))).b == ((0, 0), (0, 0))
+    assert b_of_coxeter(a1a1, coxeter_from_order(a1a1, (0, 1))) == ((0, 0), (0, 0))
 
 
 def test_b_negates_under_inverse():
     for label in ("A3", "C3", "G2"):
         d = make_datum(label)
         for c in all_coxeter_elements(d):
-            b = b_of_coxeter(d, c).b
-            binv = b_of_coxeter(d, c.inverse()).b
+            b = b_of_coxeter(d, c)
+            binv = b_of_coxeter(d, c.inverse())
             assert all(b[i][j] == -binv[i][j] for i in range(d.n) for j in range(d.n))
 
 
@@ -74,7 +76,7 @@ def test_mutation_involutive():
     for label in ("A2", "B2", "A3"):
         d = make_datum(label)
         c = all_coxeter_elements(d)[0]
-        b0 = b_of_coxeter(d, c).b
+        b0 = b_of_coxeter(d, c)
         seed = initial_seed(d, c)
         for _ in range(12):
             k = rng.randrange(d.n)
@@ -86,14 +88,14 @@ def test_a1_exchange_rule():
     d = make_datum("A1")
     c = coxeter_from_order(d, (0,))
     seed = initial_seed(d, c)
-    new = mutate(seed, 0, b_of_coxeter(d, c).b)
+    new = mutate(seed, 0, b_of_coxeter(d, c))
     # empty products: x * x' = 1 + 1
     assert new.cluster[0] == LaurentPoly({(-1,): 2})
     assert new.gcols[0] == (-1,)
 
 
 def test_a2_pentagon_period_five():
-    b0 = b_of_coxeter(A2, CA2).b
+    b0 = b_of_coxeter(A2, CA2)
     seed = initial_seed(A2, CA2)
     s = seed
     ks = [0, 1, 0, 1, 0]
@@ -108,7 +110,7 @@ def test_laurent_phenomenon_along_random_walks():
     for label in ("B2", "G2", "A3"):
         d = make_datum(label)
         c = all_coxeter_elements(d)[0]
-        b0 = b_of_coxeter(d, c).b
+        b0 = b_of_coxeter(d, c)
         seed = initial_seed(d, c)
         for _ in range(25):
             seed = mutate(seed, rng.randrange(d.n), b0)
@@ -153,6 +155,58 @@ def test_exchange_relations_hold():
         assert verify_exchange_relations(g, m) == []
 
 
+def _same_companion(monkeypatch):
+    """Make uplus return (a + b, a + b): a wrong companion on every edge off rank one."""
+    true_uplus = ClusterModel.uplus
+
+    def wrong(self, a, b):
+        s, _ = true_uplus(self, a, b)
+        return s, s
+
+    monkeypatch.setattr(ClusterModel, "uplus", wrong)
+
+
+@pytest.mark.parametrize("label", ["A2", "B3"])
+def test_wrong_companion_fails_every_edge(monkeypatch, label):
+    d = make_datum(label)
+    c = coxeter_from_order(d, tuple(range(d.n)))
+    g, m = exchange_graph(d, c), build_model(d, c)
+    _same_companion(monkeypatch)
+    problems = verify_exchange_relations(g, m)
+    assert [p[0] for p in problems] == ["identity-failed"] * len(g.edges)
+    assert [p[1:] for p in problems] == [e[2:] for e in g.edges]
+
+
+@pytest.mark.parametrize("label", ["A2", "B3"])
+def test_wrong_companion_fails_the_exchange_suite(monkeypatch, capsys, label):
+    _same_companion(monkeypatch)
+    assert main(["verify", label, "--suite", "exchange"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("[FAIL]") and "exchange/exchange-relations" in line for line in lines)
+    assert lines[-1] == "FAILED"
+
+
+def test_exchange_check_stays_on_the_root_side(monkeypatch):
+    import coxfan.linalg
+
+    def forbidden(*args):
+        raise AssertionError("the exchange check left the root side")
+
+    d = make_datum("B3")
+    c = coxeter_from_order(d, (2, 0, 1))
+    g, m = exchange_graph(d, c), build_model(d, c)
+    monkeypatch.setattr(ClusterModel, "expand_weight", forbidden)
+    monkeypatch.setattr(coxfan.linalg, "solve_fraction_free", forbidden)
+    assert verify_exchange_relations(g, m) == []
+
+
+def test_edge_off_the_labels_is_missing_label():
+    g, m = exchange_graph(A2, CA2), build_model(A2, CA2)
+    (a, b, g1, g2), rest = g.edges[0], g.edges[1:]
+    bad = replace(g, edges=((a, b, (7, 7), g2),) + rest)
+    assert verify_exchange_relations(bad, m) == [("missing-label", (7, 7), g2)]
+
+
 def test_pentagon_relation_explicit():
     g = exchange_graph(A2, CA2)
     m = build_model(A2, CA2)
@@ -160,7 +214,8 @@ def test_pentagon_relation_explicit():
     rhs = g.variables[(0, 1)] + LaurentPoly.one(2)
     assert lhs == rhs
     assert cluster_monomial(g, m, (0, 0)) == LaurentPoly.one(2)
-    assert cluster_monomial(g, m, (0, 1)) == g.variables[(0, 1)]
+    omega2 = m.labels[m.id_by_weight[(0, 1)]].root
+    assert cluster_monomial(g, m, omega2) == g.variables[(0, 1)]
 
 
 def test_a1xa1_degenerate_identity():
@@ -168,7 +223,7 @@ def test_a1xa1_degenerate_identity():
     c = coxeter_from_order(d, (0, 1))
     g = exchange_graph(d, c)
     m = build_model(d, c)
-    two = LaurentPoly.const(2, 2)
+    two = LaurentPoly.monomial((0, 0), 2)
     assert g.variables[(1, 0)] * g.variables[(-1, 0)] == two
     assert g.variables[(0, 1)] * g.variables[(0, -1)] == two
 

@@ -1,6 +1,7 @@
 """Associahedra: support data, H/V representations, Cambrian equality, export."""
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from coxfan.cartan import make_datum
 from coxfan.model import build_model
 from coxfan.polytope import (
+    Facet,
     PolytopeError,
     SupportData,
     build_hrep,
@@ -23,7 +25,6 @@ from coxfan.polytope import (
     facet_vertex_cycle,
     folded_inequalities,
     hrep_orbit_groups,
-    load_json,
     polytopes_equal,
     random_valid_f,
     render_condition,
@@ -158,7 +159,14 @@ def test_a1_exchange_inequality_degenerate():
 
 
 def test_chamber_point_gate():
-    assert chamber_point(A3, default_f(A3)) == default_f(A3).values
+    assert chamber_point(A3, default_f(A3).values) == default_f(A3).values
+    # strictly dominant but not i*-symmetric: a chamber point, not support data
+    a = (1, Fraction(3, 2), Fraction(7, 4))
+    assert chamber_point(A3, a) == a
+    assert violated_condition(A3, a) == "f(1) = f(3)"
+    assert cambrian_hrep(MA3, a).facets[0].rhs in a
+    with pytest.raises(PolytopeError):
+        chamber_point(A3, (1, 2, 1))     # on the wall 2f(1) - f(2) = 0
     with pytest.raises(PolytopeError):
         cambrian_hrep(MA3, (1, 3, 1))
 
@@ -223,12 +231,14 @@ def test_json_round_trip():
     f = default_f(A3)
     hrep = build_hrep(MA3, f)
     vrep = vertices(MA3, hrep)
-    text = export_json(MA3, f, hrep, vrep)
-    facets, verts, clusters, edges = load_json(text)
-    assert facets == hrep.facets
-    assert verts == vrep.vertices
-    assert clusters == vrep.clusters
-    assert edges == vrep.edges
+    parts = []
+    export_json(MA3, f, hrep, vrep, parts.append)
+    data = json.loads("".join(parts))
+    assert [Facet(tuple(fa["normal"]), Fraction(fa["rhs"]), (fa["label"]["i"], fa["label"]["m"]))
+            for fa in data["facets"]] == list(hrep.facets)
+    assert tuple(tuple(Fraction(x) for x in v["coords"]) for v in data["vertices"]) == vrep.vertices
+    assert tuple(tuple(v["cluster"]) for v in data["vertices"]) == vrep.clusters
+    assert tuple(tuple(e) for e in data["edges"]) == vrep.edges
 
 
 def test_orbit_shares_rhs():
