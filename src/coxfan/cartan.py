@@ -48,9 +48,6 @@ class CartanDatum:
     def n(self) -> int:
         return len(self.cartan)
 
-    def a(self, i: int, j: int) -> int:
-        return self.cartan[i][j]
-
     @property
     def edges(self) -> tuple:
         n = self.n

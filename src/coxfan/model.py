@@ -50,7 +50,7 @@ class Label:
 class ClusterModel:
     """All label data for one (datum, Coxeter element) pair.
 
-    Labels, the tau permutation, and the orbit structure are built eagerly;
+    Labels and the tau-orbits (each label with its position) are built eagerly;
     the compatibility table and the cluster list are computed on first use.
     """
 
@@ -132,7 +132,6 @@ class ClusterModel:
                 perm[k] = pos_of[(i, m + 1)]
             else:
                 perm[k] = pos_of[(istar[i], 0)]
-        self.tau_perm = tuple(perm)
 
         # Cross-check the root-side description of tau.
         betas = set(self.beta.values())
@@ -148,6 +147,7 @@ class ClusterModel:
         seen = [False] * len(perm)
         orbits = []
         orbit_of = [0] * len(perm)
+        orbit_pos = [0] * len(perm)
         for i in range(self.n):
             k0 = self.neg_id[i]
             if seen[k0]:
@@ -157,12 +157,14 @@ class ClusterModel:
             while not seen[k]:
                 seen[k] = True
                 orbit_of[k] = len(orbits)
+                orbit_pos[k] = len(orb)
                 orb.append(k)
                 k = perm[k]
             orbits.append(tuple(orb))
         if not all(seen):
             raise ModelError("an orbit misses every -beta label")
         self.orbits = tuple(orbits)
+        self._orbit_pos = tuple(orbit_pos)
         self.labels = tuple(
             Label(k, i, m, w, r, orbit_of[k]) for k, (i, m, w, r) in enumerate(self._rows)
         )
@@ -182,9 +184,7 @@ class ClusterModel:
 
     def tau(self, label_id: int, exponent: int = 1) -> int:
         orb = self.orbits[self.labels[label_id].orbit]
-        L = len(orb)
-        t = orb.index(label_id)
-        return orb[(t + exponent) % L]
+        return orb[(self._orbit_pos[label_id] + exponent) % len(orb)]
 
     def compat_table(self):
         if self._compat is None:

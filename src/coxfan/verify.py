@@ -136,26 +136,31 @@ def suite_fan(datum: CartanDatum, c: CoxeterElement, points: int = 1000, seed: i
 # --- polytope: simplicity, support function, and the negative control --------------------
 
 def suite_polytope(datum: CartanDatum, c: CoxeterElement, random_fs: int = 20, seed: int = 0) -> list:
+    """Simple vertices, support function and strict exchange inequalities for each f.
+
+    A failed check names its first f, with the error, the label or the
+    exchanged label pair that breaks it.
+    """
     model = build_model(datum, c)
     rng = random.Random(seed)
-    results = []
     fs = [default_f(datum)] + [random_valid_f(datum, rng) for _ in range(random_fs)]
-    simple_ok = support_ok = strict_ok = True
+    first = {}   # check name -> its first witness
     for f in fs:
-        hrep = build_hrep(model, f)
+        f_text = "f=" + ",".join(str(x) for x in f.values)
         try:
-            vrep = vertices(model, hrep)   # raises unless every vertex is simple
-        except PolytopeError:
-            simple_ok = False
+            vrep = vertices(model, build_hrep(model, f))   # raises unless every vertex is simple
+        except PolytopeError as exc:
+            first.setdefault("vertices-simple", f"{f_text}: {exc}")
             continue
-        if verify_support_function(model, f, vrep):
-            support_ok = False
-        if check_polytopality(model, f.values):
-            strict_ok = False
-    results.append(_check("vertices-simple", simple_ok, f"{len(fs)} support choices"))
-    results.append(_check("support-function", support_ok,
-                          "max over vertices matches F_c with maximizers = clusters"))
-    results.append(_check("exchange-inequalities", strict_ok, "strict on every adjacent pair"))
+        for problem in verify_support_function(model, f, vrep)[:1]:
+            first.setdefault("support-function", f"{f_text}: {problem}")
+        for a, b, lhs, rhs in check_polytopality(model, f.values)[:1]:
+            first.setdefault("exchange-inequalities", f"{f_text}: labels {a}, {b}: "
+                             f"F(a) + F(b) = {lhs} <= {rhs} = max(F(a + b), F(a uplus b))")
+    results = [_row(name, first.get(name), passing) for name, passing in (
+        ("vertices-simple", f"{len(fs)} support choices"),
+        ("support-function", "max over vertices matches F_c with maximizers = clusters"),
+        ("exchange-inequalities", "strict on every adjacent pair"))]
 
     bad_f = _broken_f(datum)
     rejected = bool(violated_condition(datum, bad_f))
@@ -165,12 +170,23 @@ def suite_polytope(datum: CartanDatum, c: CoxeterElement, random_fs: int = 20, s
     return results
 
 
+def _row(name, witness, passing):
+    """A check that passes with detail ``passing``, or fails naming its first witness."""
+    return _check(name, witness is None, passing if witness is None else f"first: {witness}")
+
+
 def _broken_f(datum: CartanDatum):
-    # Violate one column condition: f = default except one coordinate blown up.
+    """The default f with one column condition broken.
+
+    f(i) is blown up at a node with a neighbour (node 2 if it has one); with
+    no edge at all, where every condition only asks f(i) > 0, f(1) = 0.
+    """
     base = list(default_f(datum).values)
-    if datum.n == 1:
-        return (0,)
-    base[1] = base[1] * 100
+    linked = [i for i in range(datum.n) if datum.neighbors(i)]
+    if not linked:
+        return (0, *base[1:])
+    i = 1 if 1 in linked else linked[0]
+    base[i] = base[i] * 100
     return tuple(base)
 
 
@@ -219,12 +235,11 @@ def suite_sorting(datum: CartanDatum, c: CoxeterElement, brute_force_cap: int = 
     results.append(_check("singletons-prefixes", True, f"{len(sing)} c-singletons"))
     try:
         group = enumerate_group(datum, cap=brute_force_cap)
-    except WeylError:
-        group = None
-    if group is not None:
-        brute = {w.mw for w in group if is_sortable(c, w) and is_antisortable(c, w)}
-        results.append(_check("singletons-brute-force", brute == {w.mw for w in sing},
-                              f"group order {len(group)}"))
+    except WeylError:   # a group over the cap skips the brute force
+        return results
+    brute = {w.mw for w in group if is_sortable(c, w) and is_antisortable(c, w)}
+    results.append(_check("singletons-brute-force", brute == {w.mw for w in sing},
+                          f"group order {len(group)}"))
     return results
 
 
@@ -271,13 +286,25 @@ def _neg_fundamental(v):
     return None
 
 
-def _table_preserved(src: ClusterModel, dst: ClusterModel, mapping, pairs) -> bool:
-    return all(src.compat(a, b) == dst.compat(mapping[a], mapping[b]) for a, b in pairs)
+def _map_break(src, dst, mapping, pairs, taus=None, where=""):
+    """Text naming the first pair whose degree ``mapping`` changes, else (given
+    ``taus = (src_tau, dst_tau)``) the first label x with dst_tau(mapping x) !=
+    mapping(src_tau x); None when the map keeps both."""
+    for a, b in pairs:
+        x, y = src.compat(a, b), dst.compat(mapping[a], mapping[b])
+        if x != y:
+            return f"{where}labels {a}, {b}: degree {x}, of their images {y}"
+    if taus:
+        src_tau, dst_tau = taus
+        a = next((a for a in range(len(mapping)) if dst_tau(mapping[a]) != mapping[src_tau(a)]), None)
+        if a is not None:
+            return f"{where}label {a}: the map does not intertwine tau"
+    return None
 
 
 def suite_maps(datum: CartanDatum, c: CoxeterElement, seed: int = 0) -> list:
+    """Compatibility-preserving maps; a failed check names its first pair or label."""
     model = build_model(datum, c)
-    L = len(model.labels)
     rng = random.Random(seed)
 
     def id_pairs(size, exhaustive):
@@ -287,45 +314,40 @@ def suite_maps(datum: CartanDatum, c: CoxeterElement, seed: int = 0) -> list:
         return [(rng.randrange(size), rng.randrange(size)) for _ in range(MAPS_SAMPLES)]
 
     exhaustive = datum.n <= MAPS_EXHAUSTIVE_RANK
-    pairs = id_pairs(L, exhaustive)
+    pairs = id_pairs(len(model.labels), exhaustive)
     results = []
 
-    phi_ok = all(model.compat(a, b) == compat_pi_independent(model, a, b) for a, b in pairs)
-    results.append(_check("phi-compat", phi_ok, "weight-side degree equals root-side degree"))
+    bad = next(((a, b) for a, b in pairs if model.compat(a, b) != compat_pi_independent(model, a, b)), None)
+    results.append(_row("phi-compat", bad and f"labels {bad[0]}, {bad[1]}: root-side degree "
+                        f"{model.compat(*bad)}, weight-side degree {compat_pi_independent(model, *bad)}",
+                        "weight-side degree equals root-side degree"))
 
-    sig_ok = True
+    witness = None
     for i in model.c.initial_nodes():
         tgt, mp = sigma_map(model, i)
-        sig_ok = sig_ok and _table_preserved(model, tgt, mp, pairs)
-        sig_ok = sig_ok and all(tgt.tau(mp[a]) == mp[model.tau(a)] for a in range(L))
-    results.append(_check("sigma", sig_ok, "per initial node: compat preserved, tau intertwined"))
+        witness = witness or _map_break(model, tgt, mp, pairs, (model.tau, tgt.tau), f"s{i + 1}: ")
+    results.append(_row("sigma", witness, "per initial node: compat preserved, tau intertwined"))
 
     tgt, mp = bar_map(model)
-    bar_ok = _table_preserved(model, tgt, mp, pairs)
-    bar_ok = bar_ok and all(mp[model.tau(a)] == tgt.tau(mp[a], -1) for a in range(L))
-    results.append(_check("bar", bar_ok, "compat preserved, bar(tau x) = tau^{-1}(bar x)"))
+    witness = _map_break(model, tgt, mp, pairs, (model.tau, lambda x: tgt.tau(x, -1)))
+    results.append(_row("bar", witness, "compat preserved, bar(tau x) = tau^{-1}(bar x)"))
 
-    iota_ok = True
+    witness = None
     for drop in range(datum.n):
         nodes = tuple(k for k in range(datum.n) if k != drop)
         if not nodes:
             continue
         sub, emb, _ = iota_map(model, nodes)
         ls = len(sub.labels)
-        sub_pairs = id_pairs(ls, ls * ls <= 4 * MAPS_SAMPLES)
-        iota_ok = iota_ok and all(
-            sub.compat(a, b) == model.compat(emb[a], emb[b]) for a, b in sub_pairs)
-    results.append(_check("iota", iota_ok, "restriction preserves the degree"))
+        sub_pairs = id_pairs(ls, ls * ls <= 4 * MAPS_SAMPLES)   # drawn even after a failure
+        witness = witness or _map_break(sub, model, emb, sub_pairs, where=f"without node {drop + 1}: ")
+    results.append(_row("iota", witness, "restriction preserves the degree"))
 
     if len(datum.components) == 1:
         oracle = BipartiteOracle(datum)
         mt = build_model(datum, oracle.t)
         tm = oracle.t_minus_map(mt)
-        Lo = len(oracle.roots)
-        opairs = id_pairs(Lo, exhaustive)
-        t_ok = all(oracle.compat(a, b) == mt.compat(tm[a], tm[b]) for a, b in opairs)
-        t_ok = t_ok and all(mt.tau(tm[a]) == tm[oracle.tau(-1, oracle.tau(1, a))]
-                            for a in range(Lo))
-        results.append(_check("t-minus", t_ok,
-                              "bipartite oracle degree transported by t_-"))
+        witness = _map_break(oracle, mt, tm, id_pairs(len(oracle.roots), exhaustive),
+                             (lambda a: oracle.tau(-1, oracle.tau(1, a)), mt.tau))
+        results.append(_row("t-minus", witness, "bipartite oracle degree transported by t_-"))
     return results

@@ -38,11 +38,6 @@ class WeylElement:
     def is_identity(self) -> bool:
         return self.mw == identity_mat(self.datum.n)
 
-    def length(self) -> int:
-        """Number of positive roots sent to negative roots."""
-        roots = generate_roots(self.datum).positive_roots
-        return sum(1 for r in roots if is_negative(self.apply_root(r)))
-
 
 @lru_cache(maxsize=None)
 def identity_element(datum: CartanDatum) -> WeylElement:
@@ -341,7 +336,7 @@ def c_sorting_word(c: CoxeterElement, w: WeylElement):
     v_inv = w.inverse()
     letters = []
     blocks = []
-    guard = w.length() + 1
+    guard = generate_roots(datum).size + 1   # every block takes a letter; l(w) <= |Phi+|
     while not v.is_identity():
         block = []
         for i in c.order:
@@ -413,7 +408,7 @@ def singletons(c: CoxeterElement) -> list:
     start = frozenset()
     elems = {start: ident}
     frontier = [start]
-    found = {ident.mw: ident}
+    found = {ident.mw: (0, ident)}
     while frontier:
         nxt = []
         for s in frontier:
@@ -426,10 +421,13 @@ def singletons(c: CoxeterElement) -> list:
                     continue
                 el = base * simple_reflection(datum, word[q])
                 elems[s2] = el
-                found.setdefault(el.mw, el)
+                found.setdefault(el.mw, (len(s2), el))
                 nxt.append(s2)
         frontier = nxt
-    out = sorted(found.values(), key=lambda e: (e.length(), e.mw))
+    # A word for w0 of length |Phi+| is reduced, so an element's length is its downset's size.
+    if L != generate_roots(datum).size or elems[frozenset(range(L))] != longest_element(datum):
+        raise WeylError("the c-sorting word of w0 is not a reduced word for w0")
+    out = [el for _, el in sorted(found.values(), key=lambda p: (p[0], p[1].mw))]
     for el in out:
         if not (is_sortable(c, el) and is_antisortable(c, el)):
             raise WeylError("prefix element failed the sortable/antisortable check")
@@ -439,10 +437,11 @@ def singletons(c: CoxeterElement) -> list:
 def enumerate_group(datum: CartanDatum, cap: int = 1152) -> list:
     """Breadth-first closure of the Weyl group; refuses to exceed the cap."""
     ident = identity_element(datum)
-    seen = {ident.mw: ident}
-    frontier = [ident]
+    seen = {ident.mw}
     gens = [simple_reflection(datum, i) for i in range(datum.n)]
+    out, frontier = [], [ident]
     while frontier:
+        out += sorted(frontier, key=lambda w: w.mw)   # a breadth-first level is one length
         nxt = []
         for w in frontier:
             for s in gens:
@@ -450,7 +449,7 @@ def enumerate_group(datum: CartanDatum, cap: int = 1152) -> list:
                 if ws.mw not in seen:
                     if len(seen) >= cap:
                         raise WeylError(f"group larger than cap {cap}")
-                    seen[ws.mw] = ws
+                    seen.add(ws.mw)
                     nxt.append(ws)
         frontier = nxt
-    return sorted(seen.values(), key=lambda e: (e.length(), e.mw))
+    return out

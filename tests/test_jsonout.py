@@ -1,8 +1,13 @@
-"""The streaming JSON writer: byte-identical to json.dumps, written in bounded batches."""
+"""The streaming JSON writer: byte-identical to json.dumps, written in bounded batches.
+
+No float ever reaches coxfan's JSON: every document a command writes is parsed
+here with float parsing forbidden.
+"""
 from __future__ import annotations
 
 import json
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +21,15 @@ from coxfan.weyl import coxeter_from_order
 
 def reference(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _no_float(text):
+    raise AssertionError(f"float {text!r} in JSON output")
+
+
+def exact_loads(text):
+    """json.loads that fails on any float, NaN or Infinity in the text."""
+    return json.loads(text, parse_float=_no_float, parse_constant=_no_float)
 
 
 def dumps(data) -> str:
@@ -50,11 +64,24 @@ def test_iterators_are_written_as_arrays():
     assert dumps(data) == reference({"rows": rows, "empty": [], "pairs": [[0, 1], [1, 2], [2, 3]]})
 
 
+def test_nested_and_single_item_iterators():
+    data = {"nested": [iter([iter([1, 2]), iter(())]), (x for x in ())], "one": iter(["s"])}
+    assert dumps(data) == reference({"nested": [[[1, 2], []], []], "one": ["s"]})
+    assert dumps(iter(())) == "[]\n"
+
+
 def test_unsupported_values_raise():
-    with pytest.raises(TypeError):
-        dumps({"x": 1.5})
-    with pytest.raises(TypeError):
-        dumps({1: "non-string key"})
+    # containers that are not iterators are refused too: only a one-pass iterator is an array
+    for value in (Fraction(1, 2), {1, 2}, range(3), b"x", object()):
+        with pytest.raises(TypeError):
+            dumps({"x": [value]})
+
+
+def test_exact_loads_refuses_floats():
+    for text in ("1.5", "[1e3]", '{"x": NaN}', "-Infinity"):
+        with pytest.raises(AssertionError):
+            exact_loads(text)
+    assert exact_loads('{"x": [1, "1/2"]}') == {"x": [1, "1/2"]}
 
 
 JSON_COMMANDS = (
@@ -75,13 +102,13 @@ def test_every_json_command_is_json_dumps_text(capsys, label):
                                 ("polytope",))
     for command in commands:
         out = run(capsys, command[0], label, *command[1:], "--format", "json")
-        assert out == reference(json.loads(out)), command
+        assert out == reference(exact_loads(out)), command
 
 
 def test_polytope_outputs_match_json_dumps(capsys, tmp_path):
     for argv in (("polytope", "C3"), ("polytope", "C3", "--f", "1,7/4,2", "--coxeter", "2,1,3")):
         out = run(capsys, *argv)
-        assert out == reference(json.loads(out))
+        assert out == reference(exact_loads(out))
         path = tmp_path / "p.json"
         assert run(capsys, *argv, "--output", str(path)) == ""
         assert path.read_text() == out

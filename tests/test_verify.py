@@ -6,10 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
+import pytest
+
 import coxfan
 import coxfan.verify as V
 from coxfan.cartan import make_datum
-from coxfan.model import build_model
+from coxfan.cli import main
+from coxfan.model import BipartiteOracle, build_model
+from coxfan.polytope import PolytopeError, default_f, random_valid_f
 from coxfan.weyl import coxeter_from_order
 
 A3 = make_datum("A3")
@@ -86,6 +92,171 @@ def test_cone_failures_name_first_witness(monkeypatch):
     assert details["cone-disjoint"] == (
         False, f"1 of {POINTS} points in more than one open cone; first: {p1} in clusters "
                f"{[list(model.clusters()[0]), list(model.clusters()[3])]}")
+
+
+# --- polytope rows -------------------------------------------------------------------------
+
+A2 = make_datum("A2")
+C_A2 = coxeter_from_order(A2, (0, 1))
+RANDOM_FS = 4
+
+
+def polytope_details():
+    return {r.name: (r.ok, r.detail) for r in V.suite_polytope(A2, C_A2, random_fs=RANDOM_FS)}
+
+
+def f_texts():
+    """'f=...' for each f suite_polytope draws with seed 0, in order."""
+    rng = random.Random(0)
+    fs = [default_f(A2)] + [random_valid_f(A2, rng) for _ in range(RANDOM_FS)]
+    return ["f=" + ",".join(str(x) for x in f.values) for f in fs]
+
+
+def fail_from(k, value, true_call):
+    """Wrap true_call so that it returns (or raises) value from its k-th call on."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        if len(calls) < k:
+            return true_call(*args)
+        if isinstance(value, Exception):
+            raise value
+        return value
+    return wrapped
+
+
+def test_passing_polytope_details_are_unchanged():
+    assert polytope_details() == {
+        "vertices-simple": (True, f"{RANDOM_FS + 1} support choices"),
+        "support-function": (True, "max over vertices matches F_c with maximizers = clusters"),
+        "exchange-inequalities": (True, "strict on every adjacent pair"),
+        "negative-control": (True, f"f={V._broken_f(A2)} must be rejected or violate an inequality"),
+    }
+
+
+def test_polytope_failures_name_first_f(monkeypatch):
+    third = f_texts()[2]
+    monkeypatch.setattr(V, "vertices", fail_from(3, PolytopeError("vertex is not simple"), V.vertices))
+    assert polytope_details()["vertices-simple"] == (False, f"first: {third}: vertex is not simple")
+    monkeypatch.undo()
+
+    problem = "support value of label 3 is 7, expected f(1)"
+    monkeypatch.setattr(V, "verify_support_function",
+                        fail_from(3, [problem, "later"], V.verify_support_function))
+    assert polytope_details()["support-function"] == (False, f"first: {third}: {problem}")
+    monkeypatch.undo()
+
+    violation = [(1, 4, Fraction(3, 2), Fraction(2)), (0, 2, Fraction(1), Fraction(1))]
+    monkeypatch.setattr(V, "check_polytopality", fail_from(3, violation, V.check_polytopality))
+    assert polytope_details()["exchange-inequalities"] == (
+        False, f"first: {third}: labels 1, 4: F(a) + F(b) = 3/2 <= 2 = max(F(a + b), F(a uplus b))")
+
+
+def test_negative_control_fails_when_nothing_is_reported(monkeypatch):
+    monkeypatch.setattr(V, "violated_condition", lambda datum, f: "")
+    monkeypatch.setattr(V, "check_polytopality", lambda model, f: [])
+    for label in ("A2", "A1xA1"):
+        d = make_datum(label)
+        rows = {r.name: r.ok for r in V.suite_polytope(d, coxeter_from_order(d, (0, 1)), random_fs=1)}
+        assert rows["negative-control"] is False
+
+
+@pytest.mark.parametrize("label", ["A1xA1", "A1xA1xA1", "A1xA1xA2", "A1xA2", "G2xA1xA1"])
+def test_a1_factors_pass_the_polytope_suite(label, capsys):
+    assert main(["verify", label, "--suite", "polytope", "--random-f", "2"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_broken_f_breaks_a_column_condition():
+    for label in ("A1", "A2", "A1xA1", "A1xA1xA2", "B3", "G2xA1xA1", "D4"):
+        d = make_datum(label)
+        assert V.violated_condition(d, V._broken_f(d)), label
+
+
+# --- maps rows -----------------------------------------------------------------------------
+
+MODEL_A2 = build_model(A2, C_A2)
+ALL_PAIRS = [(a, b) for a in range(5) for b in range(5)]
+
+
+def maps_details():
+    return {r.name: (r.ok, r.detail) for r in V.suite_maps(A2, C_A2)}
+
+
+def swapped(mapping, i, j):
+    out = list(mapping)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def first_break(src, dst, mapping, pairs):
+    a, b = next((a, b) for a, b in pairs
+                if src.compat(a, b) != dst.compat(mapping[a], mapping[b]))
+    return f"labels {a}, {b}: degree {src.compat(a, b)}, of their images {dst.compat(mapping[a], mapping[b])}"
+
+
+def test_passing_maps_details_are_unchanged():
+    assert maps_details() == {
+        "phi-compat": (True, "weight-side degree equals root-side degree"),
+        "sigma": (True, "per initial node: compat preserved, tau intertwined"),
+        "bar": (True, "compat preserved, bar(tau x) = tau^{-1}(bar x)"),
+        "iota": (True, "restriction preserves the degree"),
+        "t-minus": (True, "bipartite oracle degree transported by t_-"),
+    }
+
+
+def test_phi_compat_names_first_pair(monkeypatch):
+    true_degree = V.compat_pi_independent
+    monkeypatch.setattr(V, "compat_pi_independent",
+                        lambda m, a, b: true_degree(m, a, b) + ((a, b) in {(1, 3), (4, 0)}))
+    x = MODEL_A2.compat(1, 3)
+    assert maps_details()["phi-compat"] == (
+        False, f"first: labels 1, 3: root-side degree {x}, weight-side degree {x + 1}")
+
+
+def test_map_rows_name_first_pair(monkeypatch):
+    true_sigma, true_bar, true_iota = V.sigma_map, V.bar_map, V.iota_map
+    true_t_minus = BipartiteOracle.t_minus_map
+
+    def sigma(model, i):
+        tgt, mp = true_sigma(model, i)
+        return tgt, swapped(mp, 0, 2)
+
+    def bar(model):
+        tgt, mp = true_bar(model)
+        return tgt, swapped(mp, 1, 3)
+
+    def iota(model, nodes):
+        # an A1 sub-diagram has a degree-preserving swap, so send every label to one image
+        sub, emb, kept = true_iota(model, nodes)
+        return sub, (emb[0],) * len(emb), kept
+
+    monkeypatch.setattr(V, "sigma_map", sigma)
+    monkeypatch.setattr(V, "bar_map", bar)
+    monkeypatch.setattr(V, "iota_map", iota)
+    monkeypatch.setattr(BipartiteOracle, "t_minus_map",
+                        lambda self, model: swapped(true_t_minus(self, model), 0, 4))
+    details = maps_details()
+
+    node = C_A2.initial_nodes()[0]
+    tgt, mp = sigma(MODEL_A2, node)
+    assert details["sigma"] == (False, f"first: s{node + 1}: {first_break(MODEL_A2, tgt, mp, ALL_PAIRS)}")
+    tgt, mp = bar(MODEL_A2)
+    assert details["bar"] == (False, f"first: {first_break(MODEL_A2, tgt, mp, ALL_PAIRS)}")
+    sub, emb, _ = iota(MODEL_A2, (1,))
+    assert details["iota"] == (
+        False, f"first: without node 1: {first_break(sub, MODEL_A2, emb, [(0, 0), (0, 1), (1, 0), (1, 1)])}")
+    oracle = BipartiteOracle(A2)
+    mt = build_model(A2, oracle.t)
+    tm = oracle.t_minus_map(mt)
+    assert details["t-minus"] == (False, f"first: {first_break(oracle, mt, tm, ALL_PAIRS)}")
+
+
+def test_bar_names_first_label_that_breaks_tau(monkeypatch):
+    # the identity onto the model itself keeps every degree but sends tau to tau, not tau^-1
+    monkeypatch.setattr(V, "bar_map", lambda model: (model, tuple(range(len(model.labels)))))
+    assert maps_details()["bar"] == (False, "first: label 0: the map does not intertwine tau")
 
 
 def test_cli_suites_import_only_the_standard_library():

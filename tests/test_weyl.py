@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from coxfan.cartan import make_datum
+from coxfan.cartan import generate_roots, is_negative, make_datum
 from coxfan.weyl import (
     WeylError,
     Word,
@@ -35,6 +35,11 @@ A3 = make_datum("A3")
 C = coxeter_from_order(A3, (0, 1, 2))
 
 
+def length(w) -> int:
+    """Number of positive roots that w sends to negative roots."""
+    return sum(1 for r in generate_roots(w.datum).positive_roots if is_negative(w.apply_root(r)))
+
+
 def test_length_changes_by_one():
     rng = random.Random(3)
     d = make_datum("B3")
@@ -42,7 +47,7 @@ def test_length_changes_by_one():
     for _ in range(60):
         w = rng.choice(elems)
         i = rng.randrange(d.n)
-        assert abs((w * simple_reflection(d, i)).length() - w.length()) == 1
+        assert abs(length(w * simple_reflection(d, i)) - length(w)) == 1
 
 
 def test_longest_element_properties():
@@ -54,6 +59,16 @@ def test_longest_element_properties():
         for i in range(d.n):
             e_i = tuple(1 if k == i else 0 for k in range(d.n))
             assert w0.apply_weight(e_i) == tuple(-1 if k == istar[i] else 0 for k in range(d.n))
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "A1xA2", "D4"])
+def test_group_and_singletons_are_ordered_by_length(label):
+    d = make_datum(label)
+    group = enumerate_group(d)
+    assert group == sorted(group, key=lambda w: (length(w), w.mw))
+    for c in all_coxeter_elements(d)[:4]:
+        sing = singletons(c)
+        assert sing == sorted(sing, key=lambda w: (length(w), w.mw))
 
 
 def test_node_involution_values():
@@ -307,8 +322,8 @@ def test_enumerate_group_orders():
 def test_word_helpers():
     w = Word((0, 1, 0))
     assert w.render() == "s1s2s1"
-    assert len(w) == 3 and w.element(make_datum("A2")).length() == 3
-    assert Word((0, 0)).element(make_datum("A2")).length() == 0
+    assert len(w) == 3 and length(w.element(make_datum("A2"))) == 3
+    assert length(Word((0, 0)).element(make_datum("A2"))) == 0
 
 
 def _brute_lex_first_blocks(datum, c, w):
@@ -319,7 +334,7 @@ def _brute_lex_first_blocks(datum, c, w):
     """
     from coxfan.weyl import identity_element
 
-    L = w.length()
+    L = length(w)
     n = datum.n
     copies = L  # always enough: at least one letter per pass
     letters = list(c.order) * copies
@@ -338,7 +353,7 @@ def _brute_lex_first_blocks(datum, c, w):
             return
         for p in range(pos, len(letters)):
             nxt = prefix * simple_reflection(datum, letters[p])
-            if nxt.length() == len(taken) + 1:
+            if length(nxt) == len(taken) + 1:
                 dfs(p + 1, nxt, taken + [p])
                 if best is not None:
                     return
