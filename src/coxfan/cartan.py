@@ -114,56 +114,34 @@ def _family_matrix(family: str, n: int) -> list:
     return a
 
 
-def _compute_symmetrizer(cartan: tuple, components: tuple) -> tuple:
-    """Positive integers d with d_i*a_ij = d_j*a_ji, minimal per component."""
+def _components_and_symmetrizer(cartan: tuple) -> tuple:
+    """(components, d): the connected components of the diagram, each a sorted
+    node tuple, and positive integers d with d_i*a_ij = d_j*a_ji, minimal per
+    component, both from one walk of each component."""
     n = len(cartan)
     d = [None] * n
-    for comp in components:
-        d[comp[0]] = Fraction(1)
-        stack = [comp[0]]
-        while stack:
-            i = stack.pop()
+    comps = []
+    for s in range(n):
+        if d[s] is not None:
+            continue
+        d[s] = Fraction(1)
+        comp = [s]
+        for i in comp:   # comp grows while it is walked
             for j in range(n):
                 if j == i or cartan[i][j] == 0:
                     continue
                 val = d[i] * Fraction(cartan[i][j], cartan[j][i])
                 if d[j] is None:
                     d[j] = val
-                    stack.append(j)
+                    comp.append(j)
                 elif d[j] != val:
                     raise CartanError("matrix is not symmetrizable")
-        denom = 1
+        denom = lcm(*(d[i].denominator for i in comp))
+        g = gcd(*(int(d[i] * denom) for i in comp))
         for i in comp:
-            denom = lcm(denom, d[i].denominator)
-        for i in comp:
-            d[i] = d[i] * denom
-        g = 0
-        for i in comp:
-            g = gcd(g, int(d[i]))
-        for i in comp:
-            d[i] = int(d[i]) // g
-    return tuple(int(x) for x in d)
-
-
-def _connected_components(cartan: tuple) -> tuple:
-    n = len(cartan)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if j != i and cartan[i][j] != 0 and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
+            d[i] = int(d[i] * denom) // g
         comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    return tuple(comps), tuple(d)
 
 
 def datum_from_matrix(matrix, label: str = "custom") -> CartanDatum:
@@ -181,8 +159,7 @@ def datum_from_matrix(matrix, label: str = "custom") -> CartanDatum:
                     raise CartanError("off-diagonal entries must be <= 0")
                 if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                     raise CartanError("zero pattern must be symmetric")
-    components = _connected_components(cartan)
-    symmetrizer = _compute_symmetrizer(cartan, components)
+    components, symmetrizer = _components_and_symmetrizer(cartan)
     sym = tuple(tuple(symmetrizer[i] * cartan[i][j] for j in range(n)) for i in range(n))
     # Finite type <=> the symmetrized matrix is positive definite.
     for k in range(1, n + 1):

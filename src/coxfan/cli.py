@@ -273,8 +273,9 @@ def cmd_exchange_graph(args, datum, c):
     return lines + [f"g={list(g)}  x = {p.render()}" for g, p in sorted(graph.variables.items())]
 
 
-def _int_at_least(low: int):
-    """argparse type for integers >= low (0 or 1), so bad input exits 2 with a usage message."""
+def _int_at_least(low: int, high: int = None):
+    """argparse type for integers >= low (0 or 1) and, given high, <= high, so bad
+    input exits 2 with a usage message."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -283,6 +284,8 @@ def _int_at_least(low: int):
         if value < low:
             kind = "positive" if low else "non-negative"
             raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text!r}")
         return value
     return parse
 
@@ -313,7 +316,7 @@ COMMANDS = {
     "orbits": Command(cmd_orbits, "tau-orbits of the weight labels"),
     "polytope": Command(cmd_polytope, "build the generalized associahedron", (
         ("--f", dict(default="default", help='"default" or comma-separated rationals')),
-        ("--precision", dict(type=_int_at_least(0), default=12)),
+        ("--precision", dict(type=_int_at_least(0, 1000), default=12)),   # exact values: the sidecar
     ), formats=("json", "off")),
     "conditions": Command(cmd_conditions, "admissibility conditions on f",
                           coxeter=False, json_coxeter=False),

@@ -52,6 +52,9 @@ class ClusterModel:
 
     Labels and the tau-orbits (each label with its position) are built eagerly;
     the compatibility table and the cluster list are computed on first use.
+    Label (i, m) has id first[i] + m, first[i] = sum_{j<i} (h(j;c) + 1); tau sends
+    (i, m) to (i, m+1) and (i, h(i;c)) to (i*, 0), so every orbit is the labels
+    of some i followed by those of i* (the labels of i alone when i = i*).
     """
 
     def __init__(self, datum: CartanDatum, c: CoxeterElement):
@@ -61,7 +64,6 @@ class ClusterModel:
         self.c = c
         self.n = datum.n
         self._build_labels()
-        self._build_tau()
         self._compat = None
         self._clusters = None
         self._adjacent = None
@@ -73,24 +75,41 @@ class ClusterModel:
 
     def _build_labels(self):
         datum, c = self.datum, self.c
-        n = self.n
+        n, h = self.n, c.h_values
+        istar = node_involution(datum)
         cinv = c.wel.inverse()
-        records = []
+        first = [sum(h[j] + 1 for j in range(i)) for i in range(n)]
+        self.neg_id = {i: first[i] for i in range(n)}
+        orbits, orbit_of, orbit_pos = [], [0] * (sum(h) + n), [0] * (sum(h) + n)
         for i in range(n):
-            lam = tuple(1 if k == i else 0 for k in range(n))
-            for m in range(c.h_values[i] + 1):
-                records.append((i, m, lam))
-                lam = c.wel.apply_weight(lam)
+            if i <= istar[i]:
+                nodes = (i,) if istar[i] == i else (i, istar[i])
+                orb = tuple(first[j] + m for j in nodes for m in range(h[j] + 1))
+                for t, k in enumerate(orb):
+                    orbit_of[k], orbit_pos[k] = len(orbits), t
+                orbits.append(orb)
+        self.orbits = tuple(orbits)
+        self._orbit_pos = tuple(orbit_pos)
+        self.tau_order = lcm(*(len(o) for o in orbits))
+        # Distance (along tau) from each label to the next -beta label, and its node.
+        self.steps_to_neg = tuple((0, i) if m == 0 else (h[i] - m + 1, istar[i])
+                                  for i in range(n) for m in range(h[i] + 1))
+
+        labels = []
+        for i in range(n):
+            w = tuple(1 if k == i else 0 for k in range(n))
+            for m in range(h[i] + 1):
+                img = tuple(a - b for a, b in zip(cinv.apply_weight(w), w))
+                k = first[i] + m
+                labels.append(Label(k, i, m, w, weight_to_root_int(datum, img), orbit_of[k]))
+                w = c.wel.apply_weight(w)
+        self.labels = tuple(labels)
+        self.id_by_weight = {lab.weight: lab.index for lab in labels}
+        self.id_by_root = {lab.root: lab.index for lab in labels}
+        if len(self.id_by_weight) != len(labels):
+            raise ModelError("labels c^m omega_i are not pairwise distinct")
         roots = generate_roots(datum)
-        weights_seen = set()
-        rows = []
-        for (i, m, w) in records:
-            if w in weights_seen:
-                raise ModelError("labels c^m omega_i are not pairwise distinct")
-            weights_seen.add(w)
-            img = tuple(a - b for a, b in zip(cinv.apply_weight(w), w))
-            rows.append((i, m, w, weight_to_root_int(datum, img)))
-        if len(rows) != roots.size + n:
+        if len(labels) != roots.size + n:
             raise ModelError("label count differs from |Phi+| + n")
 
         # Independent construction of the negative labels: beta_i^c from the word.
@@ -101,84 +120,24 @@ class ClusterModel:
             for l in range(k + 1, n):
                 b = reflect_root(datum, order[l], b)
             betas[i] = b
-        sent_negative = {
-            r for r in roots.positive_roots
-            if all(x <= 0 for x in c.wel.apply_root(r))
-        }
-        if set(betas.values()) != sent_negative:
+        beta_roots = set(betas.values())
+        sent_negative = {r for r in roots.positive_roots if all(x <= 0 for x in c.wel.apply_root(r))}
+        if beta_roots != sent_negative:
             raise ModelError("beta_i^c do not match the roots c sends negative")
-        for (i, m, w, r) in rows:
-            if m == 0 and tuple(-x for x in r) != betas[i]:
+        for i in range(n):
+            if tuple(-x for x in labels[first[i]].root) != betas[i]:
                 raise ModelError("phi_c(omega_i) differs from -beta_i^c")
-        root_set = {r for (_, _, _, r) in rows}
         expected = set(roots.positive_roots) | {tuple(-x for x in b) for b in betas.values()}
-        if root_set != expected:
+        if set(self.id_by_root) != expected:
             raise ModelError("root labels differ from Phi+ union {-beta_i^c}")
-
-        self._rows = rows
         self.beta = betas
-        self.id_by_weight = {w: k for k, (_, _, w, _) in enumerate(rows)}
-        self.id_by_root = {r: k for k, (_, _, _, r) in enumerate(rows)}
-        self.neg_id = {i: self.id_by_weight[tuple(1 if k == i else 0 for k in range(n))]
-                       for i in range(n)}
-
-    def _build_tau(self):
-        datum, c = self.datum, self.c
-        istar = node_involution(datum)
-        pos_of = {(i, m): k for k, (i, m, _, _) in enumerate(self._rows)}
-        perm = [0] * len(self._rows)
-        for k, (i, m, _, _) in enumerate(self._rows):
-            if m < c.h_values[i]:
-                perm[k] = pos_of[(i, m + 1)]
-            else:
-                perm[k] = pos_of[(istar[i], 0)]
 
         # Cross-check the root-side description of tau.
-        betas = set(self.beta.values())
-        for k, (_, _, _, r) in enumerate(self._rows):
-            img = self._rows[perm[k]][3]
-            if r in betas:
-                want = tuple(-x for x in r)
-            else:
-                want = c.wel.apply_root(r)
-            if img != want:
+        for lab in labels:
+            r = lab.root
+            want = tuple(-x for x in r) if r in beta_roots else c.wel.apply_root(r)
+            if labels[self.tau(lab.index)].root != want:
                 raise ModelError("tau disagrees with its root-side description")
-
-        seen = [False] * len(perm)
-        orbits = []
-        orbit_of = [0] * len(perm)
-        orbit_pos = [0] * len(perm)
-        for i in range(self.n):
-            k0 = self.neg_id[i]
-            if seen[k0]:
-                continue
-            orb = []
-            k = k0
-            while not seen[k]:
-                seen[k] = True
-                orbit_of[k] = len(orbits)
-                orbit_pos[k] = len(orb)
-                orb.append(k)
-                k = perm[k]
-            orbits.append(tuple(orb))
-        if not all(seen):
-            raise ModelError("an orbit misses every -beta label")
-        self.orbits = tuple(orbits)
-        self._orbit_pos = tuple(orbit_pos)
-        self.labels = tuple(
-            Label(k, i, m, w, r, orbit_of[k]) for k, (i, m, w, r) in enumerate(self._rows)
-        )
-        # Distance (along tau) from each label to the first -beta label, and its node.
-        steps = [None] * len(perm)
-        for orb in orbits:
-            L = len(orb)
-            neg_pos = [t for t, k in enumerate(orb) if self.labels[k].is_negative]
-            for t, k in enumerate(orb):
-                dist = min((p - t) % L for p in neg_pos)
-                tgt = orb[(t + dist) % L]
-                steps[k] = (dist, self.labels[tgt].node)
-        self.steps_to_neg = tuple(steps)
-        self.tau_order = lcm(*(len(o) for o in orbits))
 
     # --- tau and compatibility --------------------------------------------------------
 
@@ -424,8 +383,13 @@ def _bron_kerbosch(p, x, r, adj, out):
         x = x | {v}
 
 
-@lru_cache(maxsize=None)
 def build_model(datum: CartanDatum, c: CoxeterElement) -> ClusterModel:
+    """The model of (datum, c), shared per reduced expression so model.c.order is c.order."""
+    return _model(datum, c, c.order)
+
+
+@lru_cache(maxsize=None)
+def _model(datum: CartanDatum, c: CoxeterElement, order: tuple) -> ClusterModel:
     return ClusterModel(datum, c)
 
 

@@ -196,11 +196,21 @@ def suite_cambrian(datum: CartanDatum, c: CoxeterElement) -> list:
     model = build_model(datum, c)
     rays = set(cambrian_rays(model))
     want = {lab.weight for lab in model.labels}
-    results = [_check("ray-equality", rays == want,
-                      f"{len(rays)} singleton rays vs {len(want)} labels")]
+    bad = _non_singleton(c, singletons(c))
+    results = [_check("ray-equality", rays == want and not bad,
+                      f"{len(rays)} singleton rays vs {len(want)} labels{bad}")]
     ok, witness = polytopes_equal(model, default_f(datum))
     results.append(_check("polytope-equality", ok, witness or "canonical H-reps identical"))
     return results
+
+
+def _non_singleton(c: CoxeterElement, elems) -> str:
+    """A clause naming the first element that is not both c-sortable and
+    c-antisortable, or "" when there is none."""
+    w = next((w for w in elems if not (is_sortable(c, w) and is_antisortable(c, w))), None)
+    if w is None:
+        return ""
+    return f"; first: {c_sorting_word(c, w)[0].render()} is not both c-sortable and c-antisortable"
 
 
 # --- exchange: the mutation oracle ------------------------------------------------------
@@ -232,7 +242,8 @@ def suite_sorting(datum: CartanDatum, c: CoxeterElement, brute_force_cap: int = 
     results.append(_check("w_m-is-sorting-word", blocks == extracted,
                           "greedy construction matches lex-first extraction"))
     sing = singletons(c)
-    results.append(_check("singletons-prefixes", True, f"{len(sing)} c-singletons"))
+    bad = _non_singleton(c, sing)
+    results.append(_check("singletons-prefixes", not bad, f"{len(sing)} c-singletons{bad}"))
     try:
         group = enumerate_group(datum, cap=brute_force_cap)
     except WeylError:   # a group over the cap skips the brute force

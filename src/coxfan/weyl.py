@@ -131,31 +131,24 @@ class CoxeterElement:
     h_values: tuple = field(compare=False, repr=False)
     wel: WeylElement = field(compare=False, repr=False)
 
-    @property
-    def n(self):
-        return self.datum.n
-
     def precedes(self, i: int, j: int) -> bool:
         """i << j: defined for nodes joined by an edge."""
         return (i, j) in self.orientation
 
     def initial_nodes(self) -> tuple:
         return tuple(
-            i for i in range(self.n)
+            i for i in range(self.datum.n)
             if all((i, j) in self.orientation for j in self.datum.neighbors(i))
         )
 
     def final_nodes(self) -> tuple:
         return tuple(
-            i for i in range(self.n)
+            i for i in range(self.datum.n)
             if all((j, i) in self.orientation for j in self.datum.neighbors(i))
         )
 
     def inverse(self) -> "CoxeterElement":
         return coxeter_from_order(self.datum, tuple(reversed(self.order)))
-
-    def h(self, i: int) -> int:
-        return self.h_values[i]
 
     def max_h(self) -> int:
         return max(self.h_values)
@@ -427,11 +420,7 @@ def singletons(c: CoxeterElement) -> list:
     # A word for w0 of length |Phi+| is reduced, so an element's length is its downset's size.
     if L != generate_roots(datum).size or elems[frozenset(range(L))] != longest_element(datum):
         raise WeylError("the c-sorting word of w0 is not a reduced word for w0")
-    out = [el for _, el in sorted(found.values(), key=lambda p: (p[0], p[1].mw))]
-    for el in out:
-        if not (is_sortable(c, el) and is_antisortable(c, el)):
-            raise WeylError("prefix element failed the sortable/antisortable check")
-    return out
+    return [el for _, el in sorted(found.values(), key=lambda p: (p[0], p[1].mw))]
 
 
 def enumerate_group(datum: CartanDatum, cap: int = 1152) -> list:

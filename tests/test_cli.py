@@ -289,8 +289,26 @@ def test_polytope_precision_must_be_non_negative(capsys):
             main(["polytope", "A3", "--format", "off", "--precision", bad])
         assert exc.value.code == 2
         assert "must be a non-negative integer" in capsys.readouterr().err
+    # the OFF body would hold 10**precision-sized integers; the exact vertices are in the sidecar
+    for bad in ("1001", "200000000"):
+        with _pytest.raises(SystemExit) as exc:
+            main(["polytope", "A3", "--format", "off", "--precision", bad])
+        assert exc.value.code == 2
+        assert f"must be at most 1000, got '{bad}'" in capsys.readouterr().err
     code, out, _ = run(capsys, "polytope", "A3", "--format", "off", "--precision", "0")
     assert code == 0 and out.startswith("OFF\n14 9 21\n")
+    code, out, _ = run(capsys, "polytope", "A3", "--format", "off", "--precision", "1000")
+    assert code == 0 and out.splitlines()[2].split()[0] == "1.5" + "0" * 999
+
+
+def test_json_coxeter_is_the_expression_asked_for(capsys):
+    # 1,3,2 and 3,1,2 are reduced expressions of one Coxeter element; each
+    # document names the one on its command line, in any order in one process
+    for cmd in (("compat", "A1xA2"), ("polytope", "A3")):
+        for order in ("1,3,2", "3,1,2", "1,3,2"):
+            code, out, _ = run(capsys, *cmd, "--coxeter", order, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["coxeter"] == [int(x) for x in order.split(",")]
 
 
 def test_verify_random_f_must_be_non_negative(capsys):

@@ -85,6 +85,58 @@ def test_tau_order_divides_h_plus_2():
                 assert (h + 2) % len(orb) == 0
 
 
+def _tau_from_roots(model):
+    """tau on label ids from its root-side definition alone: -r on the roots c
+    sends negative (the beta_i^c), c r on every other root label."""
+    c = model.c
+    betas = {lab.root for lab in model.labels
+             if all(x >= 0 for x in lab.root) and all(x <= 0 for x in c.wel.apply_root(lab.root))}
+    return [model.id_by_root[tuple(-x for x in lab.root) if lab.root in betas
+                             else c.wel.apply_root(lab.root)]
+            for lab in model.labels]
+
+
+def _walk_orbits(model, perm):
+    """Orbits of perm, each entered at its first negative label in node order."""
+    seen, orbits = set(), []
+    for i in range(model.n):
+        k = model.neg_id[i]
+        if k in seen:
+            continue
+        orb = []
+        while k not in seen:
+            seen.add(k)
+            orb.append(k)
+            k = perm[k]
+        orbits.append(tuple(orb))
+    assert len(seen) == len(perm)
+    return tuple(orbits)
+
+
+TAU_CASES = [(label, c) for label in ("A3", "B3", "C3", "G2", "A1xA2", "B4", "D4", "F4")
+             for c in all_coxeter_elements(make_datum(label))]
+TAU_CASES += [("E6", c) for c in all_coxeter_elements(make_datum("E6"))[:8]]
+
+
+@pytest.mark.parametrize("label,c", TAU_CASES, ids=[f"{lab}-{c.render()}" for lab, c in TAU_CASES])
+def test_closed_form_tau_matches_a_walk_of_its_root_side_definition(label, c):
+    m = ClusterModel(make_datum(label), c)
+    perm = _tau_from_roots(m)
+    orbits = _walk_orbits(m, perm)
+    assert m.orbits == orbits
+    assert [m.tau(k) for k in range(len(perm))] == perm
+    for t, orb in enumerate(orbits):
+        negs = [p for p, k in enumerate(orb) if all(x <= 0 for x in m.labels[k].root)]
+        for p, k in enumerate(orb):
+            assert m.labels[k].orbit == t
+            dist = min((q - p) % len(orb) for q in negs)
+            assert m.steps_to_neg[k] == (dist, m.labels[orb[(p + dist) % len(orb)]].node)
+    order, power = 1, perm
+    while power != list(range(len(perm))):
+        order, power = order + 1, [perm[k] for k in power]
+    assert m.tau_order == order
+
+
 def test_tau_exponent_walks():
     m = MA3
     ids = by_origin(m)
@@ -521,6 +573,16 @@ def test_adjacent_cluster_pairs_match_brute_force(label):
                 (a,), (b,) = first - clusters[c2], clusters[c2] - first
                 brute.append((c1, c2, a, b))
     assert m.adjacent_cluster_pairs() == tuple(brute)
+
+
+def test_models_keep_the_reduced_expression_they_were_built_for():
+    # 1,3,2 and 3,1,2 are two reduced expressions of one Coxeter element of A1xA2
+    d = make_datum("A1xA2")
+    c1, c2 = coxeter_from_order(d, (0, 2, 1)), coxeter_from_order(d, (2, 0, 1))
+    assert c1 == c2
+    assert build_model(d, c1).c.order == (0, 2, 1)
+    assert build_model(d, c2).c.order == (2, 0, 1)
+    assert build_model(d, c1) is build_model(d, coxeter_from_order(d, (0, 2, 1)))
 
 
 def test_ridge_in_three_clusters_is_an_error():

@@ -259,6 +259,19 @@ def test_bar_names_first_label_that_breaks_tau(monkeypatch):
     assert maps_details()["bar"] == (False, "first: label 0: the map does not intertwine tau")
 
 
+def test_a_singleton_that_is_not_sortable_fails_both_rows(monkeypatch, capsys):
+    c = coxeter_from_order(A3, (0, 1, 2))
+    bad = V.singletons(c)[3]
+    word = V.c_sorting_word(c, bad)[0].render()
+    true_sortable = V.is_sortable
+    monkeypatch.setattr(V, "is_sortable", lambda cc, w: not (cc == c and w == bad) and true_sortable(cc, w))
+    for suite, row in (("sorting", "singletons-prefixes"), ("cambrian", "ray-equality")):
+        assert main(["verify", "A3", "--suite", suite]) == 1
+        lines = [line for line in capsys.readouterr().out.splitlines() if f"/{row}:" in line]
+        assert len(lines) == 1 and lines[0].startswith("[FAIL]")
+        assert lines[0].endswith(f"; first: {word} is not both c-sortable and c-antisortable")
+
+
 def test_cli_suites_import_only_the_standard_library():
     # -S: no site-packages on the path, so a third-party import would fail outright
     script = (
