@@ -15,7 +15,6 @@ from .weyl import (
     CoxeterElement,
     WeylElement,
     WeylError,
-    Word,
     all_coxeter_elements,
     bipartite_coxeter,
     c_sorting_word,

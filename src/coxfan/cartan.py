@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .linalg import bareiss_det, mat_inv, mat_vec
+from .linalg import bareiss_det, mat_vec, solve_fraction_free
 
 _LABEL_RE = re.compile(r"^([A-G])\s*(\d+)$")
 
@@ -201,7 +201,11 @@ def make_datum(label: str) -> CartanDatum:
 
 @lru_cache(maxsize=None)
 def _cartan_inverse(datum: CartanDatum) -> tuple:
-    return mat_inv(datum.cartan)
+    """(det A, adj A), so that A^{-1} = adj A / det A with integer entries throughout."""
+    n = datum.n
+    det = bareiss_det(datum.cartan)
+    cols = [solve_fraction_free(datum.cartan, tuple(int(i == j) for i in range(n))) for j in range(n)]
+    return det, tuple(tuple(int(cols[j][i] * det) for j in range(n)) for i in range(n))
 
 
 def root_to_weight(datum: CartanDatum, coords: tuple) -> tuple:
@@ -210,20 +214,21 @@ def root_to_weight(datum: CartanDatum, coords: tuple) -> tuple:
 
 
 def weight_to_root(datum: CartanDatum, coords: tuple) -> tuple:
-    return mat_vec(_cartan_inverse(datum), coords)
+    """Root coordinates of any weight, as Fractions."""
+    det, adj = _cartan_inverse(datum)
+    return tuple(Fraction(x, det) for x in mat_vec(adj, coords))
 
 
 def weight_to_root_int(datum: CartanDatum, coords: tuple) -> tuple:
     """weight_to_root for points known to lie in the root lattice."""
-    out = weight_to_root(datum, coords)
-    res = []
-    for x in out:
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise CartanError("point does not lie in the root lattice")
-            x = int(x)
-        res.append(x)
-    return tuple(res)
+    det, adj = _cartan_inverse(datum)
+    out = []
+    for x in mat_vec(adj, coords):
+        q, r = divmod(x, det)
+        if r:
+            raise CartanError("point does not lie in the root lattice")
+        out.append(q)
+    return tuple(out)
 
 
 def reflect_root(datum: CartanDatum, i: int, coords: tuple) -> tuple:

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 from .cartan import CartanError, fmt_combo, make_datum
 from .jsonout import write_json
 from .model import build_model
-from .mutation import MutationError, exchange_graph, exchange_graph_json
+from .mutation import exchange_graph, exchange_graph_json
 from .polytope import (
     PolytopeError,
     SupportData,
@@ -42,6 +42,7 @@ from .weyl import (
     coxeter_from_order,
     is_antisortable,
     is_sortable,
+    render_word,
     singletons,
     word_to_element,
 )
@@ -167,13 +168,10 @@ def cmd_conditions(args, datum, c):
 
 def cmd_verify(args, datum, c):
     cs = [c] if c is not None else all_coxeter_elements(datum)
-    group_cap = _env_cap("COXFAN_GROUP_CAP", 200)
-    rank_cap = _env_cap("COXFAN_RANK_CAP", 4)
     rows = []
     for c in cs:
         for res in run_suite(args.suite, datum, c, seed=args.seed,
-                             points=args.points, random_fs=args.random_f,
-                             group_cap=group_cap, rank_cap=rank_cap):
+                             points=args.points, random_fs=args.random_f):
             rows.append((c, res))
     all_ok = all(r.ok for (_, r) in rows)
     if not all_ok:
@@ -245,7 +243,7 @@ def cmd_sorting_word(args, datum, c):
     if args.format == "json":
         return {
             "input": [i + 1 for i in letters],
-            "sorting_word": [i + 1 for i in word.letters],
+            "sorting_word": [i + 1 for i in word],
             "factorization": [sorted(i + 1 for i in b) for b in blocks],
             "sortable": sortable,
             "antisortable": anti,
@@ -253,19 +251,19 @@ def cmd_sorting_word(args, datum, c):
     fact = " | ".join("{" + ",".join(str(i + 1) for i in sorted(b)) + "}" for b in blocks)
     kind = "sortable" if sortable else ("antisortable" if anti else "neither")
     kind = "sortable and antisortable" if sortable and anti else kind
-    return [f"{word.render()}  factorization {fact}  [{kind}]"]
+    return [f"{render_word(word)}  factorization {fact}  [{kind}]"]
 
 
 def cmd_singletons(args, datum, c):
     elems = singletons(c)
     words = [c_sorting_word(c, w)[0] for w in elems]
     if args.format == "json":
-        return {"count": len(elems), "singletons": [[i + 1 for i in w.letters] for w in words]}
-    return [w.render() for w in words]
+        return {"count": len(elems), "singletons": [[i + 1 for i in w] for w in words]}
+    return [render_word(w) for w in words]
 
 
 def cmd_exchange_graph(args, datum, c):
-    graph = exchange_graph(datum, c, rank_cap=_env_cap("COXFAN_RANK_CAP", 4))
+    graph = exchange_graph(datum, c)
     if args.format == "json":
         return exchange_graph_json(graph)
     lines = [f"{len(graph.seeds)} seeds, {len(graph.edges)} edges, "
@@ -288,17 +286,6 @@ def _int_at_least(low: int, high: int = None):
             raise argparse.ArgumentTypeError(f"must be at most {high}, got {text!r}")
         return value
     return parse
-
-
-def _env_cap(name: str, default: int) -> int:
-    """A non-negative integer cap from the environment; a malformed one is bad input."""
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return _int_at_least(0)(text)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{name} {exc}")
 
 
 class Command(NamedTuple):
@@ -374,7 +361,7 @@ def main(argv=None) -> int:
         if cmd.json_coxeter:
             header["coxeter"] = [i + 1 for i in c.order]
         _emit(args.output, [{**header, **doc} if isinstance(doc, dict) else doc for doc in docs])
-    except (CartanError, WeylError, PolytopeError, MutationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # every coxfan error is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     return args.status

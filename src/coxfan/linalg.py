@@ -88,31 +88,16 @@ def solve_exact(a: Mat, rhs: Vec) -> Vec:
     return tuple(m[r][n] for r in range(n))
 
 
-def mat_inv(a: Mat) -> Mat:
-    """Exact inverse, returned with Fraction entries demoted to int when integral."""
+def int_mat_inv(a: Mat) -> Mat:
+    """Inverse of a unimodular integer matrix, asserted to be integral."""
     n = len(a)
     cols = []
     for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        cols.append(solve_exact(a, e))
-    inv = tuple(tuple(_demote(cols[j][i]) for j in range(n)) for i in range(n))
-    return inv
-
-
-def int_mat_inv(a: Mat) -> Mat:
-    """Inverse of a unimodular integer matrix, asserted to be integral."""
-    inv = mat_inv(a)
-    for row in inv:
-        for x in row:
-            if not isinstance(x, int):
-                raise ValueError("matrix is not unimodular over the integers")
-    return inv
-
-
-def _demote(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
+        col = solve_exact(a, tuple(1 if i == j else 0 for i in range(n)))
+        if any(x.denominator != 1 for x in col):
+            raise ValueError("matrix is not unimodular over the integers")
+        cols.append(col)
+    return tuple(tuple(int(cols[j][i]) for j in range(n)) for i in range(n))
 
 
 def primitive(v: Vec) -> Vec:

@@ -18,9 +18,8 @@ class MutationError(ValueError):
     pass
 
 
-_DIV_STEPS = 100000          # exact_div gives up after this many elimination steps
-_GRAPH_SEED_CAP = 50000      # exchange_graph gives up after finding this many seeds
-_PRINCIPAL_SEED_CAP = 2000   # and verify_g_vectors_principal after this many
+_DIV_STEPS = 100000   # exact_div gives up after this many elimination steps
+_SEED_CAP = 5000      # a seed walk gives up after finding this many seeds (E7 has 4,160)
 
 
 # --- exact Laurent polynomials over Z ---------------------------------------------------
@@ -229,7 +228,7 @@ def mutate(seed: Seed, k: int, b0: tuple) -> Seed:
                 frozen=seed.frozen)
 
 
-def _seed_walk(seeds: list, b0: tuple, max_seeds: int):
+def _seed_walk(seeds: list, b0: tuple):
     """Breadth-first closure of the seed graph from seeds[0]; finite in finite type.
 
     Each newly found seed is appended to ``seeds``.  Yields (sid, k, tid, new)
@@ -246,8 +245,8 @@ def _seed_walk(seeds: list, b0: tuple, max_seeds: int):
                 new = mutate(seed, k, b0)
                 key = new.key()
                 if key not in ids:
-                    if len(seeds) >= max_seeds:
-                        raise MutationError(f"seed graph exceeded the cap of {max_seeds} seeds")
+                    if len(seeds) >= _SEED_CAP:
+                        raise MutationError(f"seed graph exceeded the cap of {_SEED_CAP} seeds")
                     ids[key] = len(seeds)
                     seeds.append(new)
                     nxt.append(ids[key])
@@ -271,15 +270,13 @@ class ExchangeGraph:
     variables: dict              # g-vector -> LaurentPoly
 
 
-def exchange_graph(datum: CartanDatum, c: CoxeterElement, rank_cap: int = 4) -> ExchangeGraph:
+def exchange_graph(datum: CartanDatum, c: CoxeterElement) -> ExchangeGraph:
     """Breadth-first closure of the seed graph from B(c); finite in finite type."""
-    if datum.n > rank_cap:
-        raise MutationError(f"rank {datum.n} exceeds the exchange-graph cap {rank_cap}")
     start = initial_seed(datum, c)
     seeds = [start]
     variables = dict(zip(start.gcols, start.cluster))
     edges = set()
-    for sid, k, tid, new in _seed_walk(seeds, start.bmat, _GRAPH_SEED_CAP):
+    for sid, k, tid, new in _seed_walk(seeds, start.bmat):
         seed = seeds[sid]
         gv_out, gv_in = seed.gcols[k], new.gcols[k]
         for gv, poly in ((gv_out, seed.cluster[k]), (gv_in, new.cluster[k])):
@@ -371,7 +368,7 @@ def verify_g_vectors_principal(datum: CartanDatum, c: CoxeterElement) -> int:
         return degs.pop()
 
     seeds = [start]
-    for _, k, _, new in _seed_walk(seeds, b0, _PRINCIPAL_SEED_CAP):
+    for _, k, _, new in _seed_walk(seeds, b0):
         if grade(new.cluster[k]) != new.gcols[k]:
             raise MutationError("matrix g-vector differs from the principal grading")
     return len({g for seed in seeds for g in seed.gcols})

@@ -33,8 +33,10 @@ from .weyl import (
     is_antisortable,
     is_sortable,
     longest_element,
+    render_word,
     singletons,
     w_m_word,
+    word_to_element,
 )
 
 
@@ -53,11 +55,11 @@ SUITES = ("fan", "polytope", "cambrian", "exchange", "sorting", "maps")
 
 MAPS_EXHAUSTIVE_RANK = 3   # the maps suite checks every label pair up to this rank
 MAPS_SAMPLES = 400         # and this many random pairs above it
+SORTING_GROUP_CAP = 200    # the sorting suite enumerates W by brute force up to this order
 
 
-def run_suite(name: str, datum: CartanDatum, c: CoxeterElement, seed: int = 0,
-              points: int = 1000, random_fs: int = 20, group_cap: int = 200,
-              rank_cap: int = 4) -> list:
+def run_suite(name: str, datum: CartanDatum, c: CoxeterElement, seed: int,
+              points: int, random_fs: int) -> list:
     if name == "fan":
         return suite_fan(datum, c, points=points, seed=seed)
     if name == "polytope":
@@ -65,9 +67,9 @@ def run_suite(name: str, datum: CartanDatum, c: CoxeterElement, seed: int = 0,
     if name == "cambrian":
         return suite_cambrian(datum, c)
     if name == "exchange":
-        return suite_exchange(datum, c, rank_cap=rank_cap)
+        return suite_exchange(datum, c)
     if name == "sorting":
-        return suite_sorting(datum, c, brute_force_cap=group_cap)
+        return suite_sorting(datum, c)
     if name == "maps":
         return suite_maps(datum, c, seed=seed)
     raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
@@ -84,13 +86,10 @@ def suite_fan(datum: CartanDatum, c: CoxeterElement, points: int = 1000, seed: i
     model = build_model(datum, c)
     clusters = model.clusters()
     results = []
-    bad_det = [(cl, det) for cl in clusters
+    bad_det = [f"cluster {list(cl)} has determinant {det}" for cl in clusters
                if (det := bareiss_det(tuple(model.labels[k].weight for k in cl))) not in (1, -1)]
-    detail = f"{len(clusters)} clusters, {len(bad_det)} non-unimodular"
-    if bad_det:
-        cl, det = bad_det[0]
-        detail += f"; first: cluster {list(cl)} has determinant {det}"
-    results.append(_check("cluster-z-basis", not bad_det, detail))
+    results.append(_tally("cluster-z-basis", f"{len(clusters)} clusters, {len(bad_det)} non-unimodular",
+                          bad_det))
 
     rng = random.Random(seed)
     pts = [tuple(rng.randint(-20, 20) for _ in range(datum.n)) for _ in range(points)]
@@ -126,10 +125,8 @@ def suite_fan(datum: CartanDatum, c: CoxeterElement, points: int = 1000, seed: i
         elif disagree:
             bad.append(f"{list(p)} expands to {dict(sorted(exp.items()))}, "
                        f"not its coefficients in the closed cones of clusters {disagree}")
-    detail = f"{points} points, {len(bad)} with ambiguous or incompatible expansion"
-    if bad:
-        detail += f"; first: {bad[0]}"
-    results.append(_check("expansion-unique", not bad, detail))
+    results.append(_tally("expansion-unique",
+                          f"{points} points, {len(bad)} with ambiguous or incompatible expansion", bad))
     return results
 
 
@@ -175,6 +172,12 @@ def _row(name, witness, passing):
     return _check(name, witness is None, passing if witness is None else f"first: {witness}")
 
 
+def _tally(name, tally, witnesses):
+    """A check that passes when ``witnesses`` is empty; its detail is ``tally``,
+    followed on failure by the first witness."""
+    return _check(name, not witnesses, f"{tally}; first: {witnesses[0]}" if witnesses else tally)
+
+
 def _broken_f(datum: CartanDatum):
     """The default f with one column condition broken.
 
@@ -210,34 +213,38 @@ def _non_singleton(c: CoxeterElement, elems) -> str:
     w = next((w for w in elems if not (is_sortable(c, w) and is_antisortable(c, w))), None)
     if w is None:
         return ""
-    return f"; first: {c_sorting_word(c, w)[0].render()} is not both c-sortable and c-antisortable"
+    return f"; first: {render_word(c_sorting_word(c, w)[0])} is not both c-sortable and c-antisortable"
 
 
 # --- exchange: the mutation oracle ------------------------------------------------------
 
-def suite_exchange(datum: CartanDatum, c: CoxeterElement, rank_cap: int = 4) -> list:
+def suite_exchange(datum: CartanDatum, c: CoxeterElement) -> list:
+    """The mutation oracle against the model; a failed check names its first witness."""
     model = build_model(datum, c)
-    graph = exchange_graph(datum, c, rank_cap=rank_cap)
+    graph = exchange_graph(datum, c)
     results = []
     results.append(_check("seeds-are-clusters", len(graph.seeds) == len(model.clusters()),
                           f"{len(graph.seeds)} seeds vs {len(model.clusters())} clusters"))
-    gmatch = set(graph.variables) == {lab.weight for lab in model.labels}
-    results.append(_check("g-vectors-are-labels", gmatch,
-                          f"{len(graph.variables)} variables vs {len(model.labels)} labels"))
+    unmatched = ([f"g-vector {list(g)} is not a label weight"
+                  for g in graph.variables if g not in model.id_by_weight]
+                 + [f"label weight {list(lab.weight)} is not a g-vector"
+                    for lab in model.labels if lab.weight not in graph.variables])
+    results.append(_tally("g-vectors-are-labels",
+                          f"{len(graph.variables)} variables vs {len(model.labels)} labels", unmatched))
     problems = verify_exchange_relations(graph, model)
-    results.append(_check("exchange-relations", not problems,
-                          f"{len(graph.edges)} edges, {len(problems)} failures"))
+    results.append(_tally("exchange-relations", f"{len(graph.edges)} edges, {len(problems)} failures",
+                          [f"{kind} on g-vectors {list(g1)}, {list(g2)}" for kind, g1, g2 in problems]))
     return results
 
 
 # --- sorting: section-6 machinery --------------------------------------------------------
 
-def suite_sorting(datum: CartanDatum, c: CoxeterElement, brute_force_cap: int = 200) -> list:
+def suite_sorting(datum: CartanDatum, c: CoxeterElement) -> list:
     results = []
     w0 = longest_element(datum)
     word, blocks = w_m_word(c, c.max_h())
-    results.append(_check("w_m-evaluates-to-w0", word.element(datum) == w0,
-                          f"length {len(word.letters)}"))
+    results.append(_check("w_m-evaluates-to-w0", word_to_element(datum, word) == w0,
+                          f"length {len(word)}"))
     _, extracted = c_sorting_word(c, w0)
     results.append(_check("w_m-is-sorting-word", blocks == extracted,
                           "greedy construction matches lex-first extraction"))
@@ -245,7 +252,7 @@ def suite_sorting(datum: CartanDatum, c: CoxeterElement, brute_force_cap: int = 
     bad = _non_singleton(c, sing)
     results.append(_check("singletons-prefixes", not bad, f"{len(sing)} c-singletons{bad}"))
     try:
-        group = enumerate_group(datum, cap=brute_force_cap)
+        group = enumerate_group(datum, cap=SORTING_GROUP_CAP)
     except WeylError:   # a group over the cap skips the brute force
         return results
     brute = {w.mw for w in group if is_sortable(c, w) and is_antisortable(c, w)}

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cartan import CartanDatum, generate_roots, is_negative
+from .cartan import CartanDatum, generate_roots, is_negative, reflect_weight
 from .linalg import identity_mat, int_mat_inv, mat_mul, mat_vec
 
 
@@ -68,20 +68,9 @@ def word_to_element(datum: CartanDatum, letters) -> WeylElement:
     return out
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word in the simple reflections, considered up to commutations."""
-
-    letters: tuple
-
-    def __len__(self):
-        return len(self.letters)
-
-    def element(self, datum: CartanDatum) -> WeylElement:
-        return word_to_element(datum, self.letters)
-
-    def render(self) -> str:
-        return "".join(f"s{i + 1}" for i in self.letters) if self.letters else "e"
+def render_word(letters) -> str:
+    """A word in the simple reflections as text: s1s2s1, or e for the empty word."""
+    return "".join(f"s{i + 1}" for i in letters) if letters else "e"
 
 
 @lru_cache(maxsize=None)
@@ -95,8 +84,6 @@ def longest_word(datum: CartanDatum) -> tuple:
     n = datum.n
     v = tuple(1 for _ in range(n))
     picks = []
-    from .cartan import reflect_weight
-
     while any(x > 0 for x in v):
         i = next(k for k in range(n) if v[k] > 0)
         v = reflect_weight(datum, i, v)
@@ -154,7 +141,7 @@ class CoxeterElement:
         return max(self.h_values)
 
     def render(self) -> str:
-        return Word(self.order).render()
+        return render_word(self.order)
 
 
 def coxeter_from_order(datum: CartanDatum, order) -> CoxeterElement:
@@ -262,7 +249,7 @@ def elementary_move(c: CoxeterElement, i: int) -> CoxeterElement:
     return coxeter_from_order(c.datum, order)
 
 
-def connect_coxeter(c: CoxeterElement, target: CoxeterElement, avoid=()) -> Word:
+def connect_coxeter(c: CoxeterElement, target: CoxeterElement, avoid=()) -> tuple:
     """Elementary-move word w with w*c*w^{-1} = target, avoiding the given nodes.
 
     The word records moves right-to-left: the first move applied is the last
@@ -295,7 +282,7 @@ def connect_coxeter(c: CoxeterElement, target: CoxeterElement, avoid=()) -> Word
         node, i = prev[node]
         moves.append(i)
     moves.reverse()                      # temporal order
-    return Word(tuple(reversed(moves)))  # conjugation word: last move leftmost
+    return tuple(reversed(moves))  # conjugation word: last move leftmost
 
 
 def bipartite_via_leaf(c: CoxeterElement, leaf: int) -> tuple:
@@ -321,7 +308,7 @@ def bipartite_via_leaf(c: CoxeterElement, leaf: int) -> tuple:
 def c_sorting_word(c: CoxeterElement, w: WeylElement):
     """Lexicographically first subword of c^infinity realizing w.
 
-    Returns (Word, factorization) where the factorization is the tuple of
+    Returns (letters, factorization) where the factorization is the tuple of
     letter sets taken from the successive copies of c.
     """
     datum = c.datum
@@ -347,7 +334,7 @@ def c_sorting_word(c: CoxeterElement, w: WeylElement):
         guard -= 1
         if guard < 0:
             raise WeylError("sorting extraction exceeded the length bound")
-    return Word(tuple(letters)), tuple(blocks)
+    return tuple(letters), tuple(blocks)
 
 
 def is_sortable(c: CoxeterElement, w: WeylElement) -> bool:
@@ -360,28 +347,28 @@ def is_antisortable(c: CoxeterElement, w: WeylElement) -> bool:
     return is_sortable(c.inverse(), w * w0)
 
 
-def greedy_expression(c: CoxeterElement) -> Word:
+def greedy_expression(c: CoxeterElement) -> tuple:
     """Reorder c's expression by weakly decreasing h(i;c); ties keep input order."""
     letters = tuple(sorted(c.order, key=lambda i: -c.h_values[i]))
     # Sorting only ever swaps letters with distinct h, and adjacent diagram
     # nodes i << j force h(i) >= h(j), so every swap is between commuting letters.
     if coxeter_from_order(c.datum, letters) != c:
         raise WeylError("greedy reordering left the commutation class")
-    return Word(letters)
+    return letters
 
 
 def w_m_word(c: CoxeterElement, m: int):
     """Subword of c^m keeping, in the l-th copy, the letters with h(i;c) >= l."""
     if not 0 <= m <= c.max_h():
         raise WeylError(f"m={m} out of range 0..{c.max_h()}")
-    greedy = greedy_expression(c).letters
+    greedy = greedy_expression(c)
     letters = []
     blocks = []
     for level in range(1, m + 1):
         block = tuple(i for i in greedy if c.h_values[i] >= level)
         letters.extend(block)
         blocks.append(frozenset(block))
-    return Word(tuple(letters)), tuple(blocks)
+    return tuple(letters), tuple(blocks)
 
 
 def singletons(c: CoxeterElement) -> list:
@@ -391,7 +378,7 @@ def singletons(c: CoxeterElement) -> list:
     order on letter positions (p before q and the letters equal or adjacent).
     """
     datum = c.datum
-    word = w_m_word(c, c.max_h())[0].letters   # the c-sorting word of w0
+    word = w_m_word(c, c.max_h())[0]   # the c-sorting word of w0
     L = len(word)
     preds = [tuple(
         p for p in range(q)

@@ -272,7 +272,7 @@ def test_criterion_08_sorting_machinery():
             w0 = longest_element(d)
             for c in all_coxeter_elements(d):
                 word, blocks = w_m_word(c, c.max_h())
-                assert word.element(d) == w0
+                assert word_to_element(d, word) == w0
                 _, extracted = c_sorting_word(c, w0)
                 assert blocks == extracted, (label, c.order)
                 models += 1

@@ -17,6 +17,7 @@ from coxfan.cartan import (
     spaced,
     support_of_root,
     weight_to_root,
+    weight_to_root_int,
 )
 
 
@@ -81,6 +82,13 @@ def test_convert_a2_omega1_to_root():
     expected = (Fraction(2, 3), Fraction(1, 3))
     got = weight_to_root(d, (1, 0))
     assert tuple(Fraction(x) for x in got) == expected
+
+
+def test_weight_to_root_int_refuses_points_off_the_root_lattice():
+    d = make_datum("C3")   # det A = 2
+    assert weight_to_root_int(d, root_to_weight(d, (1, -2, 3))) == (1, -2, 3)
+    with pytest.raises(CartanError, match="root lattice"):
+        weight_to_root_int(d, (0, 0, 1))
 
 
 def test_convert_round_trip_random():

@@ -209,25 +209,40 @@ def test_verify_spec_invocations(capsys):
     assert code == 0 and out.strip().endswith("OK")
 
 
-def test_rank_cap_env(monkeypatch, capsys):
+def test_exchange_suite_has_no_rank_cap(capsys):
+    # rank 5 was refused by a rank cap of 4; the seed budget admits it
+    for label in ("D5", "B5"):
+        code, out, err = run(capsys, "verify", label, "--suite", "exchange")
+        assert code == 0 and out.splitlines()[-1] == "OK" and err == ""
+
+
+def test_seed_walk_over_the_budget_exits_2(monkeypatch, capsys):
+    import coxfan.mutation
+
+    monkeypatch.setattr(coxfan.mutation, "_SEED_CAP", 10)   # A3 has 14 seeds
+    code, out, err = run(capsys, "exchange-graph", "A3")
+    assert code == 2 and out == ""
+    assert err == "error: seed graph exceeded the cap of 10 seeds\n"
+
+
+def test_output_ignores_the_old_cap_variables(monkeypatch, capsys):
+    argvs = (("verify", "A3", "--suite", "exchange"), ("verify", "A2", "--suite", "sorting"))
+    plain = [run(capsys, *argv) for argv in argvs]
     monkeypatch.setenv("COXFAN_RANK_CAP", "2")
-    code, _, err = run(capsys, "exchange-graph", "A3", "--coxeter", "1,2,3")
-    assert code == 2 and "cap" in err
-    monkeypatch.setenv("COXFAN_RANK_CAP", "3")
-    code, _, _ = run(capsys, "exchange-graph", "A3", "--coxeter", "1,2,3")
-    assert code == 0
+    monkeypatch.setenv("COXFAN_GROUP_CAP", "junk")
+    assert [run(capsys, *argv) for argv in argvs] == plain
+    assert [code for code, _, _ in plain] == [0, 0]
 
 
-def test_group_cap_env(monkeypatch, capsys):
-    # a tiny cap silently skips the brute-force comparison but keeps the rest
-    monkeypatch.setenv("COXFAN_GROUP_CAP", "2")
+def test_a_group_over_the_sorting_cap_skips_the_brute_force(monkeypatch, capsys):
+    import coxfan.verify
+
     code, out, _ = run(capsys, "verify", "A2", "--suite", "sorting")
-    assert code == 0
+    assert code == 0 and "singletons-brute-force" in out
+    monkeypatch.setattr(coxfan.verify, "SORTING_GROUP_CAP", 2)
+    code, out, _ = run(capsys, "verify", "A2", "--suite", "sorting")
+    assert code == 0 and out.splitlines()[-1] == "OK"
     assert "singletons-brute-force" not in out
-    monkeypatch.setenv("COXFAN_GROUP_CAP", "10")
-    code, out, _ = run(capsys, "verify", "A2", "--suite", "sorting")
-    assert code == 0
-    assert "singletons-brute-force" in out
 
 
 def test_conditions_json_schema(capsys):
@@ -320,28 +335,6 @@ def test_verify_random_f_must_be_non_negative(capsys):
     assert "must be a non-negative integer" in capsys.readouterr().err
     code, out, _ = run(capsys, "verify", "A2", "--suite", "polytope", "--random-f", "0")
     assert code == 0 and out.strip().endswith("OK")
-
-
-def test_rank_cap_env_applies_to_exchange_suite(monkeypatch, capsys):
-    monkeypatch.setenv("COXFAN_RANK_CAP", "2")
-    code, out, err = run(capsys, "verify", "A3", "--suite", "exchange")
-    assert code == 2 and out == "" and "cap 2" in err
-    monkeypatch.setenv("COXFAN_RANK_CAP", "3")
-    code, out, _ = run(capsys, "verify", "A3", "--suite", "exchange")
-    assert code == 0 and out.strip().endswith("OK")
-
-
-def test_malformed_env_caps_exit_2(monkeypatch, capsys):
-    for name, argv in (("COXFAN_RANK_CAP", ("exchange-graph", "A2")),
-                       ("COXFAN_RANK_CAP", ("verify", "A2", "--suite", "exchange")),
-                       ("COXFAN_GROUP_CAP", ("verify", "A2", "--suite", "sorting"))):
-        for bad in ("four", "-1", ""):
-            monkeypatch.setenv(name, bad)
-            code, out, err = run(capsys, *argv)
-            assert code == 2 and out == ""
-            assert err.startswith(f"error: {name} must be a non-negative integer")
-            assert err.count("\n") == 1
-        monkeypatch.delenv(name)
 
 
 def test_polytope_json_round_trips_to_exact_vertices():

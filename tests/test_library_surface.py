@@ -1,8 +1,10 @@
 """Every public name in coxfan has a caller in the library, or a stated reason to exist.
 
 A public top-level function, class or method passes when its name occurs in
-``src/coxfan`` outside its own definition (a method's name as an attribute),
-when the traced benchmark wraps it (``SPANNED``/``COUNTED`` in
+``src/coxfan`` outside its own definition (a method's name as an attribute;
+a method whose name is also stored as an attribute, ``x.name = ...``, only
+as a call ``x.name(...)``, unless it is a property), when the traced
+benchmark wraps it (``SPANNED``/``COUNTED`` in
 ``perfbench/tracing.py``), or when ``KEEP`` below gives the reason it stays.
 A function that only tests call fails here: move it into the tests, give it
 a library caller, or delete it.
@@ -53,38 +55,95 @@ def _public_definitions(trees: dict):
                         yield f"{module}.{node.name}.{item.name}", item.name, item
 
 
-def _names_outside(tree: ast.AST, skip: ast.AST, attributes_only: bool = False) -> set:
-    """Identifiers, attributes and imported names in ``tree``, not looking inside ``skip``.
+def _names_outside(tree: ast.AST, skip: ast.AST, use: str = "name") -> set:
+    """Names used in ``tree``, not looking inside ``skip``.
 
-    With ``attributes_only``, only attribute names (``x.name``): a method is
-    reached through an object, so a local variable of the same name is no use.
+    ``use`` is "name" for identifiers, attributes and imported names;
+    "attribute" for attribute names only (``x.name``), as a method is reached
+    through an object, so a local variable of the same name is no use; "call"
+    for called attributes only (``x.name(...)``), as reading a stored field of
+    the same name is no use either.
     """
     out, stack = set(), [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name) and not attributes_only:
+        if use == "call":
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                out.add(node.func.attr)
+        elif isinstance(node, ast.Name) and use == "name":
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.alias) and not attributes_only:
+        elif isinstance(node, ast.alias) and use == "name":
             out.add(node.asname or node.name)
         stack.extend(ast.iter_child_nodes(node))
     return out
 
 
-def unused_public_names() -> list:
-    trees = _trees()
-    allowed = _traced() | set(KEEP)
+def _stored_attributes(trees: dict) -> set:
+    """Attribute names assigned anywhere (``x.name = ...``)."""
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+
+
+def _is_property(node: ast.AST) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+
+
+def unused_public_names(trees: dict = None, allowed: set = None) -> list:
+    trees = _trees() if trees is None else trees
+    allowed = _traced() | set(KEEP) if allowed is None else allowed
+    stored = _stored_attributes(trees)
+
+    def use(qual, short, node):
+        if qual.count(".") < 2:
+            return "name"
+        return "call" if short in stored and not _is_property(node) else "attribute"
+
     return [qual for qual, short, node in _public_definitions(trees)
             if qual not in allowed
-            and not any(short in _names_outside(tree, node, qual.count(".") == 2)
+            and not any(short in _names_outside(tree, node, use(qual, short, node))
                         for tree in trees.values())]
 
 
 def test_every_public_name_has_a_library_caller_or_a_reason():
     assert unused_public_names() == []
+
+
+# A method shadowed by a field of the same name: CoxeterElement.h(i) once had
+# no caller while BipartiteOracle's ``self.h = ...`` read as a use of it.
+SHADOWED = """
+class CoxeterElement:
+    def h(self, i):
+        return i
+
+    def render(self):
+        return ""
+
+    @property
+    def size(self):
+        return 0
+
+
+class BipartiteOracle:
+    def __init__(self, c):
+        self.h = c.size
+        self.render = None
+        self.size = 1
+
+    def show(self, c):
+        return c.render(), self.h
+"""
+
+
+def test_a_method_shadowed_by_a_field_needs_a_call():
+    trees = {"x": ast.parse(SHADOWED)}
+    h = next(node for qual, _, node in _public_definitions(trees) if qual == "x.CoxeterElement.h")
+    assert "h" in _names_outside(trees["x"], h, "attribute")   # the field alone would keep it
+    assert unused_public_names(trees, allowed={"x.CoxeterElement", "x.BipartiteOracle",
+                                               "x.BipartiteOracle.show"}) == ["x.CoxeterElement.h"]
 
 
 def test_keep_entries_name_real_definitions_with_reasons():

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from coxfan.cartan import _cartan_inverse, make_datum
 from coxfan.linalg import (
     bareiss_det,
     int_mat_inv,
-    mat_inv,
     mat_mul,
     mat_vec,
     primitive,
@@ -57,12 +57,14 @@ def test_singular_raises():
 
 
 def test_inverse_round_trip():
-    rng = random.Random(5)
-    for _ in range(15):
-        m = random_int_matrix(rng, 3)
-        inv = mat_inv(m)
-        prod = mat_mul(m, inv)
-        assert prod == tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
+    # the Cartan inverse is kept as (det A, adj A): A adj A = det A I in integers
+    for label in ("A1", "A2", "A3", "A4", "A8", "B2", "B3", "B7", "C3", "C5", "D4", "D5", "D7",
+                  "E6", "E7", "E8", "F4", "G2"):
+        d = make_datum(label)
+        det, adj = _cartan_inverse(d)
+        assert det == bareiss_det(d.cartan)
+        assert mat_mul(d.cartan, adj) == tuple(tuple(det if i == j else 0 for j in range(d.n))
+                                               for i in range(d.n))
 
 
 def test_int_mat_inv_requires_unimodular():

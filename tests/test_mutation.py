@@ -1,6 +1,7 @@
 """Mutation oracle: Laurent arithmetic, seeds, exchange graphs, g-vectors."""
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 
@@ -130,12 +131,6 @@ def test_exchange_graph_counts():
         assert len(g.edges) == n_seeds * d.n // 2
 
 
-def test_rank_cap():
-    d = make_datum("D4")
-    with pytest.raises(MutationError):
-        exchange_graph(d, all_coxeter_elements(d)[0], rank_cap=3)
-
-
 def test_g_vectors_match_labels():
     for label in ("A2", "A3", "B2", "C2", "G2", "C3"):
         d = make_datum(label)
@@ -179,11 +174,41 @@ def test_wrong_companion_fails_every_edge(monkeypatch, label):
 
 @pytest.mark.parametrize("label", ["A2", "B3"])
 def test_wrong_companion_fails_the_exchange_suite(monkeypatch, capsys, label):
+    d = make_datum(label)
+    g1, g2 = exchange_graph(d, coxeter_from_order(d, tuple(range(d.n)))).edges[0][2:]
+    witness = f"; first: identity-failed on g-vectors {list(g1)}, {list(g2)}"
     _same_companion(monkeypatch)
     assert main(["verify", label, "--suite", "exchange"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert any(line.startswith("[FAIL]") and "exchange/exchange-relations" in line for line in lines)
+    rows = [line for line in lines if "exchange/exchange-relations" in line]
+    assert len(rows) == 1 and rows[0].startswith("[FAIL]") and rows[0].endswith(witness)
     assert lines[-1] == "FAILED"
+    assert main(["verify", label, "--suite", "exchange", "--format", "json"]) == 1
+    checks = {ch["name"]: ch for ch in json.loads(capsys.readouterr().out)["checks"]}
+    assert not checks["exchange-relations"]["ok"]
+    assert checks["exchange-relations"]["detail"].endswith(witness)
+
+
+def test_g_vector_mismatch_names_its_first_witness(monkeypatch):
+    import coxfan.verify as V
+
+    graph = exchange_graph(A2, CA2)
+    one = LaurentPoly.one(2)
+
+    def rows():
+        return {r.name: (r.ok, r.detail) for r in V.suite_exchange(A2, CA2)}
+
+    assert rows()["g-vectors-are-labels"] == (True, "5 variables vs 5 labels")
+    monkeypatch.setattr(V, "exchange_graph", lambda d, c: replace(
+        graph, variables={**graph.variables, (7, 7): one}))
+    assert rows()["g-vectors-are-labels"] == (
+        False, "6 variables vs 5 labels; first: g-vector [7, 7] is not a label weight")
+    # a label weight the walk never reached; the exchange check would look it up, so skip it
+    monkeypatch.setattr(V, "verify_exchange_relations", lambda g, m: [])
+    monkeypatch.setattr(V, "exchange_graph", lambda d, c: replace(
+        graph, variables={g: p for g, p in graph.variables.items() if g != (0, 1)}))
+    assert rows()["g-vectors-are-labels"] == (
+        False, "4 variables vs 5 labels; first: label weight [0, 1] is not a g-vector")
 
 
 def test_exchange_check_stays_on_the_root_side(monkeypatch):

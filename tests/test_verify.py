@@ -262,7 +262,7 @@ def test_bar_names_first_label_that_breaks_tau(monkeypatch):
 def test_a_singleton_that_is_not_sortable_fails_both_rows(monkeypatch, capsys):
     c = coxeter_from_order(A3, (0, 1, 2))
     bad = V.singletons(c)[3]
-    word = V.c_sorting_word(c, bad)[0].render()
+    word = V.render_word(V.c_sorting_word(c, bad)[0])
     true_sortable = V.is_sortable
     monkeypatch.setattr(V, "is_sortable", lambda cc, w: not (cc == c and w == bad) and true_sortable(cc, w))
     for suite, row in (("sorting", "singletons-prefixes"), ("cambrian", "ray-equality")):
