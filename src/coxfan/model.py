@@ -16,6 +16,7 @@ from .cartan import (
     CartanDatum,
     generate_roots,
     reflect_root,
+    reflect_weight,
     support_of_root,
     weight_to_root_int,
 )
@@ -77,7 +78,6 @@ class ClusterModel:
         datum, c = self.datum, self.c
         n, h = self.n, c.h_values
         istar = node_involution(datum)
-        cinv = c.wel.inverse()
         first = [sum(h[j] + 1 for j in range(i)) for i in range(n)]
         self.neg_id = {i: first[i] for i in range(n)}
         orbits, orbit_of, orbit_pos = [], [0] * (sum(h) + n), [0] * (sum(h) + n)
@@ -95,14 +95,19 @@ class ClusterModel:
         self.steps_to_neg = tuple((0, i) if m == 0 else (h[i] - m + 1, istar[i])
                                   for i in range(n) for m in range(h[i] + 1))
 
+        # phi_c(c^m omega_i) = c^(m-1) omega_i - c^m omega_i: the previous weight of the
+        # orbit walk, and for m = 0 the weight c^-1 omega_i = s_on ... s_o1 omega_i.
         labels = []
         for i in range(n):
             w = tuple(1 if k == i else 0 for k in range(n))
+            prev = w
+            for s in c.order:
+                prev = reflect_weight(datum, s, prev)
             for m in range(h[i] + 1):
-                img = tuple(a - b for a, b in zip(cinv.apply_weight(w), w))
+                img = tuple(a - b for a, b in zip(prev, w))
                 k = first[i] + m
                 labels.append(Label(k, i, m, w, weight_to_root_int(datum, img), orbit_of[k]))
-                w = c.wel.apply_weight(w)
+                prev, w = w, c.wel.apply_weight(w)
         self.labels = tuple(labels)
         self.id_by_weight = {lab.weight: lab.index for lab in labels}
         self.id_by_root = {lab.root: lab.index for lab in labels}
@@ -171,10 +176,9 @@ class ClusterModel:
         if self._clusters is None:
             table = self.compat_table()
             L = len(self.labels)
-            adj = [frozenset(b for b in range(L) if b != a and table[a][b] == 0 and table[b][a] == 0)
+            adj = [sum(1 << b for b in range(L) if b != a and table[a][b] == 0 and table[b][a] == 0)
                    for a in range(L)]
-            out = []
-            _bron_kerbosch(frozenset(range(L)), frozenset(), [], adj, out)
+            out = _maximal_cliques(adj)
             for cl in out:
                 if len(cl) != self.n:
                     raise ModelError("maximal compatible set of wrong size")
@@ -372,15 +376,38 @@ def _recombine(model: ClusterModel, expansion: dict) -> tuple:
     return out
 
 
-def _bron_kerbosch(p, x, r, adj, out):
-    if not p and not x:
-        out.append(tuple(r))
-        return
-    pivot = max(p | x, key=lambda v: len(adj[v] & p))
-    for v in sorted(p - adj[pivot]):
-        _bron_kerbosch(p & adj[v], x & adj[v], r + [v], adj, out)
-        p = p - {v}
-        x = x | {v}
+def _maximal_cliques(adj: list) -> list:
+    """Every maximal clique of the graph with neighbourhood bitmasks adj, as label lists.
+
+    Bron-Kerbosch with the Tomita pivot (the vertex of P | X with the most
+    neighbours in P) over integer bitmasks; a set bit b stands for label b.
+    """
+    out = []
+
+    def expand(r, p, x):
+        if not p:
+            if not x:
+                out.append(r)
+            return
+        best, pivot, rest = -1, 0, p | x
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            k = (adj[u] & p).bit_count()
+            if k > best:
+                best, pivot = k, u
+            rest ^= low
+        todo = p & ~adj[pivot]
+        while todo:
+            low = todo & -todo
+            v = low.bit_length() - 1
+            expand(r + [v], p & adj[v], x & adj[v])
+            p ^= low
+            x |= low
+            todo ^= low
+
+    expand([], (1 << len(adj)) - 1, 0)
+    return out
 
 
 def build_model(datum: CartanDatum, c: CoxeterElement) -> ClusterModel:

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from coxfan.cartan import generate_roots, make_datum
+from coxfan import linalg, weyl
+from coxfan import model as model_module
+from coxfan.cartan import generate_roots, make_datum, root_to_weight
 from coxfan.linalg import bareiss_det
 from coxfan.model import (
     BipartiteOracle,
@@ -183,6 +185,55 @@ def test_cluster_counts():
         d = make_datum(label)
         c = all_coxeter_elements(d)[0]
         assert len(build_model(d, c).clusters()) == expected
+    # Fomin-Zelevinsky: 182, 833, 4160 and 25080 clusters, for c = s1...sn and its inverse.
+    for label, expected in {"D5": 182, "E6": 833, "E7": 4160, "E8": 25080}.items():
+        d = make_datum(label)
+        c = coxeter_from_order(d, tuple(range(d.n)))
+        for e in (c, c.inverse()):
+            clusters = build_model(d, e).clusters()
+            assert len(clusters) == expected
+            assert all(len(cl) == d.n and list(cl) == sorted(cl) for cl in clusters)
+            assert list(clusters) == sorted(clusters)
+
+
+@pytest.mark.parametrize("tamper", ["compatible-with-nothing", "three-pairwise-compatible"])
+def test_maximal_compatible_set_of_wrong_size_is_refused(tamper):
+    m = ClusterModel(A2, coxeter_from_order(A2, (0, 1)))
+    table = [list(row) for row in m.compat_table()]
+    if tamper == "compatible-with-nothing":
+        for b in range(1, len(table)):
+            table[0][b] = table[b][0] = 1
+    else:
+        a, b = m.clusters()[0]
+        c = next(k for k in range(len(table)) if k not in (a, b) and table[b][k] == 0)
+        table[a][c] = table[c][a] = 0
+    m._compat, m._clusters = tuple(map(tuple, table)), None
+    with pytest.raises(ModelError, match="maximal compatible set of wrong size"):
+        m.clusters()
+
+
+ROOT_CASES = [(label, c) for label in ("A3", "B3", "C3", "G2", "F4", "A1xB2")
+              for c in all_coxeter_elements(make_datum(label))]
+ROOT_CASES += [(label, coxeter_from_order(make_datum(label), tuple(range(make_datum(label).n))))
+               for label in ("D5", "E6", "E7", "E8")]
+
+
+@pytest.mark.parametrize("label,c", ROOT_CASES, ids=[f"{lab}-{c.render()}" for lab, c in ROOT_CASES])
+def test_label_roots_match_the_certified_inverse(label, c, monkeypatch):
+    d = make_datum(label)
+    cinv = c.wel.inverse()
+
+    def refuse(*args):
+        raise AssertionError("int_mat_inv called while building a model")
+
+    for module in (linalg, model_module, weyl):
+        monkeypatch.setattr(module, "int_mat_inv", refuse, raising=False)
+    m = ClusterModel(d, c)
+    m.clusters()
+    monkeypatch.undo()
+    for lab in m.labels:
+        want = tuple(a - b for a, b in zip(cinv.apply_weight(lab.weight), lab.weight))
+        assert root_to_weight(d, lab.root) == want, (lab.node, lab.power)
 
 
 def test_reducible_clusters_are_products():
