@@ -7,6 +7,8 @@ one label index space, one tau permutation, and one compatibility table.
 """
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -31,7 +33,7 @@ class ModelError(ValueError):
 _PAIRED = -1    # ridge value in adjacent_cluster_pairs once two clusters share it
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Label:
     """One cluster-variable label: weight view c^m omega_i, root view phi_c of it."""
 
@@ -46,6 +48,29 @@ class Label:
     def is_negative(self) -> bool:
         """True for the labels -beta_i^c (exactly the power-0 labels)."""
         return self.power == 0
+
+
+class ClusterList(Sequence):
+    """The clusters of a model, read-only: n sorted label ids per cluster in one flat array.
+
+    Indexing and iteration give each cluster as a tuple, built on demand, so the
+    model keeps one array of small integers rather than a tuple per cluster.
+    """
+
+    __slots__ = ("flat", "n")
+
+    def __init__(self, flat: array, n: int):
+        self.flat, self.n = flat, n
+
+    def __len__(self) -> int:
+        return len(self.flat) // self.n
+
+    def __getitem__(self, i) -> tuple:
+        k = range(len(self))[i]
+        return tuple(self.flat[k * self.n:(k + 1) * self.n])
+
+    def __iter__(self):
+        return zip(*[iter(self.flat)] * self.n)
 
 
 class ClusterModel:
@@ -171,18 +196,24 @@ class ClusterModel:
 
     # --- clusters ---------------------------------------------------------------------
 
-    def clusters(self):
-        """All maximal sets of pairwise compatible labels, each of size n."""
+    def clusters(self) -> ClusterList:
+        """All maximal sets of pairwise compatible labels, each of size n, in sorted order."""
         if self._clusters is None:
             table = self.compat_table()
             L = len(self.labels)
             adj = [sum(1 << b for b in range(L) if b != a and table[a][b] == 0 and table[b][a] == 0)
                    for a in range(L)]
-            out = _maximal_cliques(adj)
-            for cl in out:
+            cliques = _maximal_cliques(adj)
+            for cl in cliques:
                 if len(cl) != self.n:
                     raise ModelError("maximal compatible set of wrong size")
-            self._clusters = tuple(sorted(tuple(sorted(cl)) for cl in out))
+                cl.sort()
+            cliques.sort()
+            # the narrowest unsigned typecode that holds every label id
+            flat = array(next(t for t in "BHIQ" if L <= 1 << 8 * array(t).itemsize))
+            for cl in cliques:
+                flat.fromlist(cl)
+            self._clusters = ClusterList(flat, self.n)
         return self._clusters
 
     def adjacent_cluster_pairs(self):
@@ -407,6 +438,7 @@ def _maximal_cliques(adj: list) -> list:
             todo ^= low
 
     expand([], (1 << len(adj)) - 1, 0)
+    del expand      # it refers to itself: without this, out lives until a cyclic collection
     return out
 
 

@@ -96,12 +96,14 @@ def longest_word(datum: CartanDatum) -> tuple:
 
 @lru_cache(maxsize=None)
 def node_involution(datum: CartanDatum) -> tuple:
-    """i* with w0 * omega_i = -omega_{i*}."""
-    w0 = longest_element(datum)
-    n = datum.n
+    """i* with w0 * omega_i = -omega_{i*}, each omega_i walked down a reduced word of w0."""
+    n, word = datum.n, longest_word(datum)
     out = []
     for i in range(n):
-        col = tuple(-w0.mw[k][i] for k in range(n))
+        v = tuple(1 if k == i else 0 for k in range(n))
+        for j in reversed(word):
+            v = reflect_weight(datum, j, v)
+        col = tuple(-x for x in v)
         if sum(col) != 1 or any(x not in (0, 1) for x in col):
             raise WeylError("w0 column is not minus a fundamental weight")
         out.append(col.index(1))

@@ -1,7 +1,10 @@
 """Label model: orbits, compatibility, clusters, expansions, structural maps."""
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -11,6 +14,7 @@ from coxfan.cartan import generate_roots, make_datum, root_to_weight
 from coxfan.linalg import bareiss_det
 from coxfan.model import (
     BipartiteOracle,
+    ClusterList,
     ClusterModel,
     ModelError,
     bar_map,
@@ -194,6 +198,65 @@ def test_cluster_counts():
             assert len(clusters) == expected
             assert all(len(cl) == d.n and list(cl) == sorted(cl) for cl in clusters)
             assert list(clusters) == sorted(clusters)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C3", "G2", "A4", "D4", "F4", "B4",
+                                   "D5", "E6", "E7", "E8"])
+def test_cluster_list_reads_like_a_tuple_of_sorted_tuples(label):
+    d = make_datum(label)
+    clusters = build_model(d, coxeter_from_order(d, tuple(range(d.n)))).clusters()
+    items = tuple(clusters)
+    count = len(clusters)
+    assert count == len(items) and list(iter(clusters)) == list(items)
+    assert [clusters[k] for k in range(count)] == list(items)
+    assert [clusters[k - count] for k in range(count)] == list(items)
+    for bad in (count, -count - 1):
+        with pytest.raises(IndexError):
+            clusters[bad]
+    for cl in items:
+        assert type(cl) is tuple and len(cl) == d.n and list(cl) == sorted(set(cl))
+        assert all(type(k) is int for k in cl)
+    assert all(a < b for a, b in zip(items, items[1:]))
+
+
+def _fresh_e7_model():
+    d = make_datum("E7")
+    m = ClusterModel(d, coxeter_from_order(d, tuple(range(7))))
+    m.compat_table()
+    return m
+
+
+def test_clusters_leave_no_cyclic_garbage():
+    m = _fresh_e7_model()
+    gc.collect()
+    gc.disable()
+    try:
+        m.clusters()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_clusters_are_stored_flat():
+    # 4,160 clusters of 7 labels: 29 KB as one byte array, about 0.5 MB as tuples.
+    m = _fresh_e7_model()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        m.clusters()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(m.clusters()) == 4160
+    assert held < 150_000
+
+
+def test_labels_have_no_instance_dict():
+    lab = MA3.labels[0]
+    assert not hasattr(lab, "__dict__")
+    with pytest.raises(AttributeError):
+        lab.power = 1
 
 
 @pytest.mark.parametrize("tamper", ["compatible-with-nothing", "three-pairwise-compatible"])
@@ -565,7 +628,7 @@ def test_b2_hand_computed_golden():
     )
     assert m.compat_table() == expected
     # the hexagon: six two-element clusters in a cycle
-    assert m.clusters() == ((0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5))
+    assert tuple(m.clusters()) == ((0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5))
     # mixed degrees (1 one way, 2 the other) are not exchangeable
     assert m.compat(0, 4) == 1 and m.compat(4, 0) == 2
     exchanged = {tuple(sorted((a, b))) for (_, _, a, b) in m.adjacent_cluster_pairs()}
@@ -640,7 +703,7 @@ def test_ridge_in_three_clusters_is_an_error():
     import copy
 
     m = copy.copy(MA3)
-    m._clusters = ((0, 1, 2), (0, 1, 3), (0, 1, 4))
+    m._clusters = ClusterList(array("B", (0, 1, 2, 0, 1, 3, 0, 1, 4)), 3)
     m._adjacent = None
     with pytest.raises(ModelError, match="more than two clusters"):
         m.adjacent_cluster_pairs()

@@ -79,6 +79,23 @@ def test_node_involution_values():
     assert node_involution(make_datum("D4")) == (0, 1, 2, 3)  # even rank: -w0 = 1
 
 
+NODE_INVOLUTION_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                         + [f"C{n}" for n in range(3, 7)] + [f"D{n}" for n in range(4, 9)]
+                         + ["E6", "E7", "E8", "F4", "G2", "A1xB2", "A2xG2"])
+
+
+@pytest.mark.parametrize("label", NODE_INVOLUTION_TYPES)
+def test_node_involution_reads_the_longest_element(label):
+    d = make_datum(label)
+    w0 = longest_element(d)
+    want = []
+    for i in range(d.n):
+        col = [-w0.mw[k][i] for k in range(d.n)]
+        assert sorted(col) == [0] * (d.n - 1) + [1]
+        want.append(col.index(1))
+    assert node_involution(d) == tuple(want)
+
+
 def test_h_values_examples():
     assert C.h_values == (3, 2, 1)
     c3 = make_datum("C3")
