@@ -51,10 +51,13 @@ class Label:
 
 
 class ClusterList(Sequence):
-    """The clusters of a model, read-only: n sorted label ids per cluster in one flat array.
+    """Read-only tuples of n small integers in one flat array: a model's clusters
+    (n sorted label ids each), its adjacent cluster pairs (n = 4) and the edges
+    of its polytope (n = 2).
 
-    Indexing and iteration give each cluster as a tuple, built on demand, so the
-    model keeps one array of small integers rather than a tuple per cluster.
+    Indexing and iteration build each tuple on demand, so the model keeps one
+    array of small integers rather than a tuple per item.  It compares equal to
+    the tuple of its items.
     """
 
     __slots__ = ("flat", "n")
@@ -71,6 +74,11 @@ class ClusterList(Sequence):
 
     def __iter__(self):
         return zip(*[iter(self.flat)] * self.n)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, ClusterList)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
 
 
 class ClusterModel:
@@ -209,24 +217,28 @@ class ClusterModel:
                     raise ModelError("maximal compatible set of wrong size")
                 cl.sort()
             cliques.sort()
-            # the narrowest unsigned typecode that holds every label id
-            flat = array(next(t for t in "BHIQ" if L <= 1 << 8 * array(t).itemsize))
+            flat = array(_typecode(L))
             for cl in cliques:
                 flat.fromlist(cl)
             self._clusters = ClusterList(flat, self.n)
         return self._clusters
 
-    def adjacent_cluster_pairs(self):
-        """Pairs of clusters sharing n-1 labels, with the exchanged labels.
+    def adjacent_cluster_pairs(self) -> ClusterList:
+        """Pairs (c1, c2, a, b) of clusters c1 < c2 sharing n-1 labels, with the
+        exchanged labels a in c1 and b in c2, in sorted order.
 
         A ridge (a cluster minus one label) is keyed by the bitmask of its
-        labels, and a pair is emitted when the second cluster on it arrives.
+        labels, and a pair is found when the second cluster on it arrives.  Only
+        the key c1 * count + c2 is kept until the sort; a and b are read off the
+        two clusters' bitmasks, so no tuple per pair is ever built.
         """
         if self._adjacent is None:
+            clusters = self.clusters()
+            count = len(clusters)
             masks = []
             first = {}              # ridge -> id of the first cluster on it, or _PAIRED
-            pairs = []
-            for ci, cl in enumerate(self.clusters()):
+            keys = []               # c1 * count + c2 per pair
+            for ci, cl in enumerate(clusters):
                 mask = sum(1 << k for k in cl)
                 masks.append(mask)
                 for b in cl:
@@ -237,10 +249,16 @@ class ClusterModel:
                     elif c1 == _PAIRED:
                         raise ModelError("a ridge lies in more than two clusters")
                     else:
-                        a = (masks[c1] ^ ridge).bit_length() - 1
-                        pairs.append((c1, ci, a, b))
+                        keys.append(c1 * count + ci)
                         first[ridge] = _PAIRED
-            self._adjacent = tuple(sorted(pairs))
+            del first               # the largest scratch, freed before the array grows
+            keys.sort()
+            flat = array(_typecode(max(count, len(self.labels))))
+            for key in keys:
+                c1, c2 = divmod(key, count)
+                m1, m2 = masks[c1], masks[c2]
+                flat.extend((c1, c2, (m1 & ~m2).bit_length() - 1, (m2 & ~m1).bit_length() - 1))
+            self._adjacent = ClusterList(flat, 4)
         return self._adjacent
 
     # --- restriction to sub-diagrams ----------------------------------------------------
@@ -294,7 +312,7 @@ class ClusterModel:
 
     def expand_root(self, gamma: tuple) -> dict:
         """The c-cluster expansion of a root-lattice point: label id -> coefficient."""
-        gamma = tuple(int(x) for x in gamma)
+        gamma = tuple(int(x) for x in _checked_point(self.n, gamma))
         cached = self._expand_cache.get(gamma)
         if cached is None:
             cached = self._expand(gamma)
@@ -337,8 +355,9 @@ class ClusterModel:
 
     def expand_weight(self, mu: tuple) -> dict:
         """Expansion of a weight-lattice point; phi_c carries it to the root side."""
+        mu = _checked_point(self.n, mu)
         cinv = self.c.wel.inverse()
-        img = tuple(a - b for a, b in zip(cinv.apply_weight(tuple(mu)), tuple(mu)))
+        img = tuple(a - b for a, b in zip(cinv.apply_weight(mu), mu))
         return self.expand_root(weight_to_root_int(self.datum, img))
 
     def tau_extend_root(self, exponent: int, gamma: tuple) -> tuple:
@@ -396,6 +415,18 @@ class ClusterModel:
             "compatibility": [list(row) for row in self.compat_table()],
             "clusters": [list(cl) for cl in self.clusters()],
         }
+
+
+def _typecode(size: int) -> str:
+    """The narrowest unsigned array typecode that holds 0, ..., size - 1."""
+    return next(t for t in "BHIQ" if size <= 1 << 8 * array(t).itemsize)
+
+
+def _checked_point(n: int, p) -> tuple:
+    p = tuple(p)
+    if len(p) != n:
+        raise ModelError(f"point {p} does not have {n} coordinates")
+    return p
 
 
 def _recombine(model: ClusterModel, expansion: dict) -> tuple:
@@ -602,12 +633,9 @@ def cone_membership(model: ClusterModel, points):
     first negative coefficient.
     """
     inverses = cone_coefficient_matrices(model)
-    n = model.n
     out = []
     for p in points:
-        p = tuple(p)
-        if len(p) != n:
-            raise ModelError(f"point {p} does not have {n} coordinates")
+        p = _checked_point(model.n, p)
         cones = []
         for ci, inv in enumerate(inverses):
             coeffs = []

@@ -6,6 +6,7 @@ and incidence decisions are exact (integer/Fraction arithmetic only).
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -14,7 +15,7 @@ from operator import mul
 from .cartan import CartanDatum, fmt_combo
 from .jsonout import write_json
 from .linalg import primitive, solve_fraction_free, vec_dot
-from .model import ClusterModel
+from .model import ClusterList, ClusterModel
 from .weyl import singletons
 
 
@@ -144,8 +145,8 @@ class HRep:
 @dataclass(frozen=True)
 class VRep:
     vertices: tuple      # Fraction tuples
-    clusters: tuple      # defining cluster (label ids) per vertex
-    edges: tuple         # index pairs into vertices
+    clusters: ClusterList  # defining cluster (label ids) per vertex
+    edges: ClusterList     # index pairs into vertices
 
 
 def build_hrep(model: ClusterModel, f: SupportData) -> HRep:
@@ -183,9 +184,11 @@ def vertices(model: ClusterModel, hrep: HRep) -> VRep:
             elif val >= fa.rhs:
                 raise PolytopeError("vertex is not simple: an extra facet is tight or violated")
         verts.append(tuple(Fraction(x) for x in v))
-    clusters = model.clusters()
-    edge_list = tuple(sorted((c1, c2) for (c1, c2, _, _) in model.adjacent_cluster_pairs()))
-    return VRep(tuple(verts), tuple(clusters), edge_list)
+    pairs = model.adjacent_cluster_pairs().flat
+    edges = array(pairs.typecode)
+    for k in range(0, len(pairs), 4):
+        edges.extend(pairs[k:k + 2])     # (c1, c2); the pairs are sorted, so the edges are too
+    return VRep(tuple(verts), model.clusters(), ClusterList(edges, 2))
 
 
 def verify_support_function(model: ClusterModel, f: SupportData, vrep: VRep) -> list:
@@ -349,6 +352,6 @@ def export_json(model: ClusterModel, f: SupportData, hrep: HRep, vrep: VRep, wri
             {"coords": [_frac_str(x) for x in v], "cluster": cl}
             for v, cl in zip(vrep.vertices, vrep.clusters)
         ),
-        "edges": vrep.edges,
+        "edges": iter(vrep.edges),
     }
     write_json(data, write)

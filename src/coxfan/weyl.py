@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cartan import CartanDatum, generate_roots, is_negative, reflect_weight
+from .cartan import CartanDatum, generate_roots, reflect_weight
 from .linalg import identity_mat, int_mat_inv, mat_mul, mat_vec
 
 
@@ -34,9 +34,6 @@ class WeylElement:
 
     def apply_root(self, coords: tuple) -> tuple:
         return mat_vec(self.mr, coords)
-
-    def is_identity(self) -> bool:
-        return self.mw == identity_mat(self.datum.n)
 
 
 @lru_cache(maxsize=None)
@@ -307,46 +304,51 @@ def bipartite_via_leaf(c: CoxeterElement, leaf: int) -> tuple:
 
 # --- sorting words -------------------------------------------------------------------
 
-def c_sorting_word(c: CoxeterElement, w: WeylElement):
-    """Lexicographically first subword of c^infinity realizing w.
+def _sort_by_rho(datum: CartanDatum, order, v: tuple):
+    """(letters, blocks) of the sorting word, along copies of ``order``, of the
+    element u with u*rho = v in weight coordinates.
 
-    Returns (letters, factorization) where the factorization is the tuple of
-    letter sets taken from the successive copies of c.
+    s_i is a left descent of u exactly when coordinate i of u*rho is negative, and
+    peeling it off is one reflection of u*rho; the walk ends when u*rho = rho.
     """
-    datum = c.datum
-    v = w
-    v_inv = w.inverse()
-    letters = []
-    blocks = []
-    guard = generate_roots(datum).size + 1   # every block takes a letter; l(w) <= |Phi+|
-    while not v.is_identity():
-        block = []
-        for i in c.order:
-            # s_i is a left descent of v exactly when v^{-1} alpha_i < 0.
-            img = v_inv.apply_root(tuple(1 if k == i else 0 for k in range(datum.n)))
-            if is_negative(img):
-                s = simple_reflection(datum, i)
-                v = s * v
-                v_inv = v_inv * s
-                block.append(i)
+    rho = (1,) * datum.n
+    letters, blocks = [], []
+    guard = generate_roots(datum).size + 1   # every block takes a letter; l(u) <= |Phi+|
+    while v != rho:
+        start = len(letters)
+        for i in order:
+            if v[i] < 0:
+                v = reflect_weight(datum, i, v)
                 letters.append(i)
-        if not block:
+        if len(letters) == start:
             raise WeylError("sorting extraction stalled")
-        blocks.append(frozenset(block))
+        blocks.append(frozenset(letters[start:]))
         guard -= 1
         if guard < 0:
             raise WeylError("sorting extraction exceeded the length bound")
     return tuple(letters), tuple(blocks)
 
 
+def _nested(blocks) -> bool:
+    return all(b <= a for a, b in zip(blocks, blocks[1:]))
+
+
+def c_sorting_word(c: CoxeterElement, w: WeylElement):
+    """Lexicographically first subword of c^infinity realizing w.
+
+    Returns (letters, factorization) where the factorization is the tuple of
+    letter sets taken from the successive copies of c.
+    """
+    return _sort_by_rho(c.datum, c.order, tuple(map(sum, w.mw)))   # w*rho: rho = (1, ..., 1)
+
+
 def is_sortable(c: CoxeterElement, w: WeylElement) -> bool:
-    _, blocks = c_sorting_word(c, w)
-    return all(blocks[k + 1] <= blocks[k] for k in range(len(blocks) - 1))
+    return _nested(c_sorting_word(c, w)[1])
 
 
 def is_antisortable(c: CoxeterElement, w: WeylElement) -> bool:
-    w0 = longest_element(c.datum)
-    return is_sortable(c.inverse(), w * w0)
+    """w*w0 is c^{-1}-sortable; its walk starts from (w*w0)*rho = -(w*rho)."""
+    return _nested(_sort_by_rho(c.datum, c.order[::-1], tuple(-sum(row) for row in w.mw))[1])
 
 
 def greedy_expression(c: CoxeterElement) -> tuple:

@@ -252,6 +252,48 @@ def test_clusters_are_stored_flat():
     assert held < 150_000
 
 
+def test_adjacent_cluster_pairs_are_stored_flat():
+    # 14,560 pairs of E7 (c = s1...s7): 116 KB as one two-byte array, 1.27 MB as tuples.
+    m = _fresh_e7_model()
+    m.clusters()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        m.adjacent_cluster_pairs()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(m.adjacent_cluster_pairs()) == 14560
+    assert held < 250_000
+
+
+def _pairs_by_ridge(clusters) -> tuple:
+    """The sorted tuple of (c1, c2, a, b), from ridges as frozensets of labels."""
+    on = {}
+    for ci, cl in enumerate(clusters):
+        for b in cl:
+            on.setdefault(frozenset(cl) - {b}, []).append((ci, b))
+    return tuple(sorted((c1, c2, a, b) for (c1, a), (c2, b) in on.values()))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C3", "G2", "A4", "D4", "F4", "B4",
+                                   "D5", "E6", "E7", "E8"])
+def test_adjacent_cluster_pairs_read_like_a_sorted_tuple(label):
+    d = make_datum(label)
+    m = build_model(d, coxeter_from_order(d, tuple(range(d.n))))
+    pairs = m.adjacent_cluster_pairs()
+    want = _pairs_by_ridge(m.clusters())
+    count = len(pairs)
+    assert count == len(want) == len(m.clusters()) * d.n // 2
+    assert pairs == want and tuple(pairs) == want and list(iter(pairs)) == list(want)
+    assert [pairs[k] for k in range(count)] == list(want)
+    assert [pairs[k - count] for k in range(count)] == list(want)
+    for bad in (count, -count - 1):
+        with pytest.raises(IndexError):
+            pairs[bad]
+
+
 def test_labels_have_no_instance_dict():
     lab = MA3.labels[0]
     assert not hasattr(lab, "__dict__")
@@ -393,6 +435,15 @@ def test_cone_membership_is_exact_past_int64():
             assert {(m.clusters()[ci][t], v) for t, v in enumerate(x) if v > 0} == exp
     with pytest.raises(ModelError):
         cone_membership(m, [(1, 2)])
+
+
+@pytest.mark.parametrize("side", ["expand_root", "expand_weight"])
+@pytest.mark.parametrize("point", [(), (1,), (1, 2), (1, 2, 3, 4), (0, 0, 0, 0, 0)])
+def test_expansion_refuses_a_point_of_the_wrong_length(side, point):
+    m = ClusterModel(A3, coxeter_from_order(A3, (0, 1, 2)))
+    with pytest.raises(ModelError, match="does not have 3 coordinates"):
+        getattr(m, side)(point)
+    assert m._expand_cache == {}
 
 
 def test_expansion_weight_side_matches_phi():

@@ -8,6 +8,7 @@ import pytest
 
 from coxfan.cartan import generate_roots, is_negative, make_datum
 from coxfan.weyl import (
+    WeylElement,
     WeylError,
     all_coxeter_elements,
     bipartite_coxeter,
@@ -54,7 +55,7 @@ def test_longest_element_properties():
     for label in ("A3", "C3", "B2", "G2", "D4"):
         d = make_datum(label)
         w0 = longest_element(d)
-        assert (w0 * w0).is_identity()
+        assert w0 * w0 == identity_element(d)
         istar = node_involution(d)
         for i in range(d.n):
             e_i = tuple(1 if k == i else 0 for k in range(d.n))
@@ -386,15 +387,41 @@ def _brute_lex_first_blocks(datum, c, w):
 
 
 def test_sorting_word_matches_subword_enumeration():
-    rng = random.Random(21)
     for label in ("A2", "B2", "G2", "A3"):
         d = make_datum(label)
         elems = enumerate_group(d)
         for c in all_coxeter_elements(d):
-            sample = [longest_element(d)] + rng.sample(elems, 5)
-            for w in sample:
-                _, blocks = c_sorting_word(c, w)
-                assert blocks == _brute_lex_first_blocks(d, c, w), (label, c.order)
+            for w in elems:
+                letters, blocks = c_sorting_word(c, w)
+                assert blocks == _brute_lex_first_blocks(d, c, w), (label, c.order, w.mw)
+                assert word_to_element(d, letters) == w and len(letters) == length(w)
+
+
+def test_antisortable_is_sortable_for_the_inverse_after_w0():
+    for label in ("A3", "B3", "A1xB2"):
+        d = make_datum(label)
+        w0 = longest_element(d)
+        for c in all_coxeter_elements(d):
+            cinv = c.inverse()
+            for w in enumerate_group(d):
+                blocks = c_sorting_word(cinv, w * w0)[1]
+                nested = all(blocks[k + 1] <= blocks[k] for k in range(len(blocks) - 1))
+                assert is_antisortable(c, w) == nested, (label, c.order, w.mw)
+
+
+def test_sorting_never_inverts_a_matrix(monkeypatch):
+    d = make_datum("B3")
+    elems = enumerate_group(d)
+
+    def forbidden(self):
+        raise AssertionError("WeylElement.inverse called")
+
+    monkeypatch.setattr(WeylElement, "inverse", forbidden)
+    for c in all_coxeter_elements(d):
+        for w in elems:
+            c_sorting_word(c, w)
+            is_sortable(c, w)
+            is_antisortable(c, w)
 
 
 def test_h_gap_bounded_by_diagram_distance():
