@@ -292,11 +292,6 @@ def support_of_root(coords: tuple) -> frozenset:
     return frozenset(i for i, x in enumerate(coords) if x != 0)
 
 
-def spaced(datum: CartanDatum, s1, s2) -> bool:
-    """True when no node of s1 is equal or adjacent to a node of s2."""
-    return all(datum.cartan[i][j] == 0 for i in s1 for j in s2 if i != j) and not (set(s1) & set(s2))
-
-
 def is_negative(coords: tuple) -> bool:
     return all(x <= 0 for x in coords) and any(x < 0 for x in coords)
 

@@ -100,14 +100,6 @@ def int_mat_inv(a: Mat) -> Mat:
     return tuple(tuple(int(cols[j][i]) for j in range(n)) for i in range(n))
 
 
-def primitive(v: Vec) -> Vec:
-    """Divide an integer vector by the gcd of its entries (zero vector unchanged)."""
-    g = gcd(*v)
-    if g <= 1:
-        return tuple(v)
-    return tuple(x // g for x in v)
-
-
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(x + y for x, y in zip(u, v))
 

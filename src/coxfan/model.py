@@ -312,7 +312,7 @@ class ClusterModel:
 
     def expand_root(self, gamma: tuple) -> dict:
         """The c-cluster expansion of a root-lattice point: label id -> coefficient."""
-        gamma = tuple(int(x) for x in _checked_point(self.n, gamma))
+        gamma = _checked_point(self.n, gamma)
         cached = self._expand_cache.get(gamma)
         if cached is None:
             cached = self._expand(gamma)
@@ -423,10 +423,14 @@ def _typecode(size: int) -> str:
 
 
 def _checked_point(n: int, p) -> tuple:
+    """The lattice point p as a tuple of n ints; a wrong length or a non-integral coordinate raises."""
     p = tuple(p)
     if len(p) != n:
         raise ModelError(f"point {p} does not have {n} coordinates")
-    return p
+    q = tuple(map(int, p))
+    if q != p:
+        raise ModelError(f"point {p} has a non-integral coordinate")
+    return q
 
 
 def _recombine(model: ClusterModel, expansion: dict) -> tuple:
@@ -522,13 +526,6 @@ def bar_map(model: ClusterModel):
 def iota_map(model: ClusterModel, nodes: tuple):
     """(sub_model, embedding, nodes): the twisted inclusion of the sub-diagram labels."""
     return model.restriction(tuple(nodes))
-
-
-def support_of_label(model: ClusterModel, label_id: int) -> frozenset:
-    lab = model.labels[label_id]
-    if lab.is_negative:
-        return frozenset([lab.node])
-    return support_of_root(lab.root)
 
 
 # --- the bipartite almost-positive-root oracle ----------------------------------------

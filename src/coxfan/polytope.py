@@ -14,7 +14,7 @@ from operator import mul
 
 from .cartan import CartanDatum, fmt_combo
 from .jsonout import write_json
-from .linalg import primitive, solve_fraction_free, vec_dot
+from .linalg import solve_fraction_free, vec_dot
 from .model import ClusterList, ClusterModel
 from .weyl import singletons
 
@@ -42,21 +42,6 @@ def f_conditions(datum: CartanDatum):
 def render_condition(row) -> str:
     """Human-readable form of sum_i row[i] f(i) > 0."""
     return fmt_combo(row, "f({})") + " > 0"
-
-
-def folded_inequalities(datum: CartanDatum):
-    """Inequality rows with f(i*) identified with f(i), deduplicated and primitive."""
-    equalities, rows = f_conditions(datum)
-    rep = list(range(datum.n))
-    for i, j in equalities:
-        rep[j] = i
-    folded = set()
-    for row in rows:
-        acc = [0] * datum.n
-        for i, x in enumerate(row):
-            acc[rep[i]] += x
-        folded.add(primitive(acc))
-    return equalities, tuple(sorted(folded))
 
 
 @dataclass(frozen=True)
@@ -154,18 +139,6 @@ def build_hrep(model: ClusterModel, f: SupportData) -> HRep:
     for lab in model.labels:
         facets.append(Facet(normal=lab.weight, rhs=f[lab.node], tag=(lab.node + 1, lab.power)))
     return HRep(tuple(facets))
-
-
-def hrep_orbit_groups(model: ClusterModel, hrep: HRep):
-    """Facets grouped by tau-orbit, in orbit order; all share one right-hand side."""
-    groups = []
-    for orb in model.orbits:
-        normals = tuple(model.labels[k].weight for k in orb)
-        rhs = {hrep.facets[k].rhs for k in orb}
-        if len(rhs) != 1:
-            raise PolytopeError("facets of one orbit carry different right-hand sides")
-        groups.append((normals, rhs.pop()))
-    return tuple(groups)
 
 
 def vertices(model: ClusterModel, hrep: HRep) -> VRep:

@@ -178,33 +178,26 @@ def _h_values(datum: CartanDatum, c: WeylElement) -> tuple:
     return tuple(out)
 
 
-def coxeter_from_orientation(datum: CartanDatum, orientation: frozenset) -> CoxeterElement:
-    """Lex-least topological order realizing the given edge orientation."""
-    n = datum.n
-    preds = {i: set() for i in range(n)}
-    for (i, j) in orientation:
-        preds[j].add(i)
-    order = []
-    remaining = set(range(n))
-    while remaining:
-        i = min(k for k in remaining if not (preds[k] & remaining))
-        order.append(i)
-        remaining.discard(i)
-    c = coxeter_from_order(datum, tuple(order))
-    if c.orientation != frozenset(orientation):
-        raise WeylError("orientation is not acyclic")
-    return c
-
-
 def all_coxeter_elements(datum: CartanDatum) -> list:
-    """Every Coxeter element, i.e. every orientation of the (forest) diagram."""
-    edges = datum.edges
+    """Every Coxeter element, i.e. every orientation of the (forest) diagram.
+
+    Each is written in the lex-least topological order of its orientation.
+    """
+    n, edges = datum.n, datum.edges
     out = []
     for mask in range(1 << len(edges)):
-        orient = frozenset(
-            (i, j) if not (mask >> k) & 1 else (j, i) for k, (i, j) in enumerate(edges)
-        )
-        out.append(coxeter_from_orientation(datum, orient))
+        preds = [set() for _ in range(n)]
+        for k, (i, j) in enumerate(edges):
+            if (mask >> k) & 1:
+                i, j = j, i
+            preds[j].add(i)                      # s_i precedes s_j
+        order = []
+        remaining = set(range(n))
+        while remaining:
+            i = min(k for k in remaining if not (preds[k] & remaining))
+            order.append(i)
+            remaining.discard(i)
+        out.append(coxeter_from_order(datum, order))
     out.sort(key=lambda c: c.order)
     return out
 
@@ -246,60 +239,6 @@ def elementary_move(c: CoxeterElement, i: int) -> CoxeterElement:
     else:
         raise WeylError(f"s{i + 1} is neither initial nor final")
     return coxeter_from_order(c.datum, order)
-
-
-def connect_coxeter(c: CoxeterElement, target: CoxeterElement, avoid=()) -> tuple:
-    """Elementary-move word w with w*c*w^{-1} = target, avoiding the given nodes.
-
-    The word records moves right-to-left: the first move applied is the last
-    letter.  Raises when the target is unreachable under the avoid set.
-    """
-    if c.datum != target.datum:
-        raise WeylError("Coxeter elements live on different data")
-    avoid = frozenset([avoid]) if isinstance(avoid, int) else frozenset(avoid)
-    start = c.orientation
-    goal = target.orientation
-    prev = {start: None}
-    frontier = [start]
-    while frontier and goal not in prev:
-        nxt = []
-        for o in frontier:
-            cur = coxeter_from_orientation(c.datum, o)
-            for i in set(cur.initial_nodes()) | set(cur.final_nodes()):
-                if i in avoid:
-                    continue
-                o2 = elementary_move(cur, i).orientation
-                if o2 not in prev:
-                    prev[o2] = (o, i)
-                    nxt.append(o2)
-        frontier = nxt
-    if goal not in prev:
-        raise WeylError("target not reachable under the avoid constraint")
-    moves = []
-    node = goal
-    while prev[node] is not None:
-        node, i = prev[node]
-        moves.append(i)
-    moves.reverse()                      # temporal order
-    return tuple(reversed(moves))  # conjugation word: last move leftmost
-
-
-def bipartite_via_leaf(c: CoxeterElement, leaf: int) -> tuple:
-    """(t, word) with t bipartite, w*t*w^{-1} = c, and w avoiding leaf and its neighbor.
-
-    The bipartite element is the one in which the leaf and its unique neighbor
-    appear in the same order as they do in c.
-    """
-    nbrs = c.datum.neighbors(leaf)
-    if len(nbrs) != 1:
-        raise WeylError(f"node {leaf} is not a leaf")
-    mate = nbrs[0]
-    for sign in (1, -1):
-        t = bipartite_coxeter(c.datum, sign)
-        if ((leaf, mate) in t.orientation) == ((leaf, mate) in c.orientation):
-            word = connect_coxeter(t, c, avoid=(leaf, mate))
-            return t, word
-    raise WeylError("no bipartite element matches the leaf order")
 
 
 # --- sorting words -------------------------------------------------------------------

@@ -1,0 +1,114 @@
+"""Constructions from Stella's proofs that the tests check against the library.
+
+The spacing criterion of the compatibility degree (section 3), the
+conjugation of c to a bipartite element that fixes a leaf (section 4), the
+admissibility cone of f with f(i*) = f(i) folded in, and the facets grouped
+by tau-orbit.  The library itself needs none of them, so they live here,
+next to the tests that assert them.
+"""
+from __future__ import annotations
+
+from math import gcd
+
+from coxfan.cartan import CartanDatum, support_of_root
+from coxfan.model import ClusterModel
+from coxfan.polytope import HRep, PolytopeError, f_conditions
+from coxfan.weyl import CoxeterElement, WeylError, bipartite_coxeter, elementary_move
+
+
+def primitive(v: tuple) -> tuple:
+    """Divide an integer vector by the gcd of its entries (zero vector unchanged)."""
+    g = gcd(*v)
+    if g <= 1:
+        return tuple(v)
+    return tuple(x // g for x in v)
+
+
+def spaced(datum: CartanDatum, s1, s2) -> bool:
+    """True when no node of s1 is equal or adjacent to a node of s2."""
+    return all(datum.cartan[i][j] == 0 for i in s1 for j in s2 if i != j) and not (set(s1) & set(s2))
+
+
+def support_of_label(model: ClusterModel, label_id: int) -> frozenset:
+    lab = model.labels[label_id]
+    if lab.is_negative:
+        return frozenset([lab.node])
+    return support_of_root(lab.root)
+
+
+def folded_inequalities(datum: CartanDatum):
+    """Inequality rows with f(i*) identified with f(i), deduplicated and primitive."""
+    equalities, rows = f_conditions(datum)
+    rep = list(range(datum.n))
+    for i, j in equalities:
+        rep[j] = i
+    folded = set()
+    for row in rows:
+        acc = [0] * datum.n
+        for i, x in enumerate(row):
+            acc[rep[i]] += x
+        folded.add(primitive(acc))
+    return equalities, tuple(sorted(folded))
+
+
+def hrep_orbit_groups(model: ClusterModel, hrep: HRep):
+    """Facets grouped by tau-orbit, in orbit order; all share one right-hand side."""
+    groups = []
+    for orb in model.orbits:
+        normals = tuple(model.labels[k].weight for k in orb)
+        rhs = {hrep.facets[k].rhs for k in orb}
+        if len(rhs) != 1:
+            raise PolytopeError("facets of one orbit carry different right-hand sides")
+        groups.append((normals, rhs.pop()))
+    return tuple(groups)
+
+
+def connect_coxeter(c: CoxeterElement, target: CoxeterElement, avoid=()) -> tuple:
+    """Elementary-move word w with w*c*w^{-1} = target, avoiding the given nodes.
+
+    A breadth-first walk over Coxeter elements, one elementary move per step.
+    The word records moves right-to-left: the first move applied is the last
+    letter.  Raises when the target is unreachable under the avoid set.
+    """
+    if c.datum != target.datum:
+        raise WeylError("Coxeter elements live on different data")
+    avoid = frozenset([avoid]) if isinstance(avoid, int) else frozenset(avoid)
+    prev = {c: None}
+    frontier = [c]
+    while frontier and target not in prev:
+        nxt = []
+        for cur in frontier:
+            for i in set(cur.initial_nodes()) | set(cur.final_nodes()):
+                if i in avoid:
+                    continue
+                moved = elementary_move(cur, i)
+                if moved not in prev:
+                    prev[moved] = (cur, i)
+                    nxt.append(moved)
+        frontier = nxt
+    if target not in prev:
+        raise WeylError("target not reachable under the avoid constraint")
+    moves = []
+    node = target
+    while prev[node] is not None:
+        node, i = prev[node]
+        moves.append(i)
+    return tuple(moves)                  # conjugation word: last move leftmost
+
+
+def bipartite_via_leaf(c: CoxeterElement, leaf: int) -> tuple:
+    """(t, word) with t bipartite, w*t*w^{-1} = c, and w avoiding leaf and its neighbor.
+
+    The bipartite element is the one in which the leaf and its unique neighbor
+    appear in the same order as they do in c.
+    """
+    nbrs = c.datum.neighbors(leaf)
+    if len(nbrs) != 1:
+        raise WeylError(f"node {leaf} is not a leaf")
+    mate = nbrs[0]
+    for sign in (1, -1):
+        t = bipartite_coxeter(c.datum, sign)
+        if ((leaf, mate) in t.orientation) == ((leaf, mate) in c.orientation):
+            word = connect_coxeter(t, c, avoid=(leaf, mate))
+            return t, word
+    raise WeylError("no bipartite element matches the leaf order")

@@ -17,8 +17,6 @@ from coxfan.polytope import (
     cambrian_rays,
     check_polytopality,
     default_f,
-    folded_inequalities,
-    hrep_orbit_groups,
     polytopes_equal,
     random_valid_f,
     vertices,
@@ -38,6 +36,8 @@ from coxfan.weyl import (
     w_m_word,
     word_to_element,
 )
+
+from paper_constructions import folded_inequalities, hrep_orbit_groups
 
 RANK4_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4")
 RANK3_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")

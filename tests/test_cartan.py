@@ -14,11 +14,12 @@ from coxfan.cartan import (
     reflect_root,
     reflect_weight,
     root_to_weight,
-    spaced,
     support_of_root,
     weight_to_root,
     weight_to_root_int,
 )
+
+from paper_constructions import spaced
 
 
 def test_a2_matrix():

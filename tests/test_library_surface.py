@@ -6,8 +6,11 @@ a method whose name is also stored as an attribute, ``x.name = ...``, only
 as a call ``x.name(...)``, unless it is a property), when the traced
 benchmark wraps it (``SPANNED``/``COUNTED`` in
 ``perfbench/tracing.py``), or when ``KEEP`` below gives the reason it stays.
-A function that only tests call fails here: move it into the tests, give it
-a library caller, or delete it.
+A function that only tests call fails here: move it into the tests (as the
+constructions in ``tests/paper_constructions.py`` were), give it a library
+caller, or delete it.  A ``KEEP`` entry whose name has since gained a library
+caller, or that the tracer wraps, fails too: the exemption has outlived its
+reason.
 """
 from __future__ import annotations
 
@@ -19,13 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = ROOT / "src" / "coxfan"
 TRACING = ROOT / "perfbench" / "tracing.py"
 
-# Paper constructions and oracles that the tests exercise directly.
+# Oracles that the tests exercise directly and no suite runs yet.
 KEEP = {
-    "cartan.spaced": "the spacing relation of the compatibility degree (Stella, section 3)",
-    "model.support_of_label": "support of a label, the other half of the spacing criterion",
-    "polytope.folded_inequalities": "the admissibility cone of f with f(i*) = f(i) folded in",
-    "polytope.hrep_orbit_groups": "the facets grouped by tau-orbit, one right-hand side each",
-    "weyl.bipartite_via_leaf": "conjugation to a bipartite element that fixes a leaf (section 4)",
     "mutation.verify_g_vectors_principal": "g-vectors read off principal coefficients "
                                            "(Yang-Zelevinsky), an oracle awaiting a suite",
 }
@@ -93,6 +91,8 @@ def _is_property(node: ast.AST) -> bool:
 
 
 def unused_public_names(trees: dict = None, allowed: set = None) -> list:
+    """Public names with no library caller, leaving out those in ``allowed``
+    (by default, what the tracer wraps and what ``KEEP`` exempts)."""
     trees = _trees() if trees is None else trees
     allowed = _traced() | set(KEEP) if allowed is None else allowed
     stored = _stored_attributes(trees)
@@ -108,8 +108,21 @@ def unused_public_names(trees: dict = None, allowed: set = None) -> list:
                         for tree in trees.values())]
 
 
+def stale_exemptions(trees: dict = None, keep: dict = None, traced: set = None) -> list:
+    """``KEEP`` names that need no exemption: the tracer wraps them, or they have a library caller."""
+    trees = _trees() if trees is None else trees
+    keep = KEEP if keep is None else keep
+    traced = _traced() if traced is None else traced
+    uncalled = set(unused_public_names(trees, allowed=set()))
+    return [qual for qual in keep if qual in traced or qual not in uncalled]
+
+
 def test_every_public_name_has_a_library_caller_or_a_reason():
     assert unused_public_names() == []
+
+
+def test_no_exemption_outlives_its_reason():
+    assert stale_exemptions() == []
 
 
 # A method shadowed by a field of the same name: CoxeterElement.h(i) once had
@@ -144,6 +157,14 @@ def test_a_method_shadowed_by_a_field_needs_a_call():
     assert "h" in _names_outside(trees["x"], h, "attribute")   # the field alone would keep it
     assert unused_public_names(trees, allowed={"x.CoxeterElement", "x.BipartiteOracle",
                                                "x.BipartiteOracle.show"}) == ["x.CoxeterElement.h"]
+
+
+def test_an_exemption_with_a_caller_or_a_span_is_stale():
+    trees = {"x": ast.parse(SHADOWED)}
+    keep = {"x.CoxeterElement.h": "no caller", "x.CoxeterElement.render": "called by show"}
+    assert stale_exemptions(trees, keep, traced=set()) == ["x.CoxeterElement.render"]
+    assert stale_exemptions(trees, keep, traced={"x.CoxeterElement.h"}) == [
+        "x.CoxeterElement.h", "x.CoxeterElement.render"]
 
 
 def test_keep_entries_name_real_definitions_with_reasons():

@@ -12,10 +12,11 @@ from coxfan.linalg import (
     int_mat_inv,
     mat_mul,
     mat_vec,
-    primitive,
     solve_exact,
     solve_fraction_free,
 )
+
+from paper_constructions import primitive
 
 
 def random_int_matrix(rng, n, lo=-6, hi=6):

@@ -5,6 +5,7 @@ import gc
 import random
 import tracemalloc
 from array import array
+from fractions import Fraction
 
 import pytest
 
@@ -22,9 +23,10 @@ from coxfan.model import (
     cone_membership,
     iota_map,
     sigma_map,
-    support_of_label,
 )
 from coxfan.weyl import all_coxeter_elements, coxeter_from_order
+
+from paper_constructions import spaced, support_of_label
 
 A3 = make_datum("A3")
 MA3 = build_model(A3, coxeter_from_order(A3, (0, 1, 2)))
@@ -446,6 +448,33 @@ def test_expansion_refuses_a_point_of_the_wrong_length(side, point):
     assert m._expand_cache == {}
 
 
+@pytest.mark.parametrize("point", [(Fraction(1, 2), 0, 0), (1.7, 0, 0)])
+def test_expansion_refuses_a_non_integral_point(point):
+    # Truncating a coordinate would expand (1/2, 0, 0) as 0 and (1.7, 0, 0) as (1, 0, 0).
+    m = ClusterModel(A3, coxeter_from_order(A3, (0, 1, 2)))
+    for query in (m.expand_root, m.expand_weight, lambda p: cone_membership(m, [(1, 0, 0), p])):
+        with pytest.raises(ModelError, match="non-integral coordinate"):
+            query(point)
+    assert m._expand_cache == {}
+
+
+def test_integral_points_expand_as_before():
+    m = ClusterModel(A3, coxeter_from_order(A3, (0, 1, 2)))
+    assert m.expand_root((1, 0, 0)) == {m.id_by_root[(1, 0, 0)]: 1}
+    assert m.expand_root((0, 0, 0)) == {} == m.expand_weight((0, 0, 0))
+    rng = random.Random(8)
+    for _ in range(50):
+        p = tuple(rng.randint(-10, 10) for _ in range(3))
+        for side in ("expand_root", "expand_weight"):
+            exp = getattr(MA3, side)(p)
+            # an integral value of another numeric type is the same point
+            for q in (tuple(Fraction(x) for x in p), tuple(float(x) for x in p)):
+                got = getattr(m, side)(q)
+                assert got == exp
+                assert all(type(k) is int and type(v) is int for k, v in got.items())
+        assert cone_membership(m, [tuple(Fraction(x) for x in p)]) == cone_membership(MA3, [p])
+
+
 def test_expansion_weight_side_matches_phi():
     rng = random.Random(4)
     m = MA3
@@ -583,8 +612,6 @@ def test_spaced_labels_are_compatible():
     for label in ("A3", "A4", "D4"):
         d = make_datum(label)
         m = build_model(d, all_coxeter_elements(d)[0])
-        from coxfan.cartan import spaced
-
         L = len(m.labels)
         for a in range(L):
             for b in range(L):

@@ -23,8 +23,6 @@ from coxfan.polytope import (
     export_off,
     f_conditions,
     facet_vertex_cycle,
-    folded_inequalities,
-    hrep_orbit_groups,
     polytopes_equal,
     random_valid_f,
     render_condition,
@@ -34,6 +32,8 @@ from coxfan.polytope import (
 )
 from coxfan.linalg import vec_dot
 from coxfan.weyl import all_coxeter_elements, coxeter_from_order
+
+from paper_constructions import folded_inequalities, hrep_orbit_groups
 
 A3 = make_datum("A3")
 C3 = make_datum("C3")

@@ -12,10 +12,8 @@ from coxfan.weyl import (
     WeylError,
     all_coxeter_elements,
     bipartite_coxeter,
-    bipartite_via_leaf,
     bipartition,
     c_sorting_word,
-    connect_coxeter,
     coxeter_from_order,
     elementary_move,
     enumerate_group,
@@ -31,6 +29,8 @@ from coxfan.weyl import (
     w_m_word,
     word_to_element,
 )
+
+from paper_constructions import bipartite_via_leaf, connect_coxeter
 
 A3 = make_datum("A3")
 C = coxeter_from_order(A3, (0, 1, 2))
@@ -142,6 +142,32 @@ def test_all_coxeter_elements_count():
     assert len(all_coxeter_elements(make_datum("D4"))) == 8
     assert len(all_coxeter_elements(make_datum("A1xA1"))) == 1
     assert len({c.wel.mw for c in all_coxeter_elements(make_datum("F4"))}) == 8
+    assert len(all_coxeter_elements(make_datum("E6"))) == 32
+    assert len(all_coxeter_elements(make_datum("E7"))) == 64
+
+
+def _lex_least_topological_order(n: int, orientation) -> tuple:
+    """The smallest permutation of the nodes, read as a word, with s_i before s_j for (i, j) in orientation."""
+    return min(p for p in itertools.permutations(range(n))
+               if all(p.index(i) < p.index(j) for i, j in orientation))
+
+
+def test_all_coxeter_elements_are_written_in_lex_least_order():
+    # --all-coxeter prints these orders, so each is pinned to its orientation.
+    for label in ("A3", "D4", "A1xA1", "F4", "E6", "E7"):
+        d = make_datum(label)
+        cs = all_coxeter_elements(d)
+        assert len({c.orientation for c in cs}) == 2 ** len(d.edges)
+        assert [c.order for c in cs] == sorted(c.order for c in cs)
+        for c in cs:
+            if d.n <= 6:
+                assert c.order == _lex_least_topological_order(d.n, c.orientation)
+            # lex-least, letter by letter: each letter is the least node whose
+            # predecessors in the orientation have all been written
+            for k, i in enumerate(c.order):
+                ready = [j for j in c.order[k:]
+                         if not any((p, j) in c.orientation for p in c.order[k:])]
+                assert i == min(ready)
 
 
 def test_bipartite_elements():
