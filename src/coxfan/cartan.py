@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .linalg import bareiss_det, mat_vec, solve_fraction_free
+from .linalg import bareiss, bareiss_det, identity_mat, mat_vec
 
 _LABEL_RE = re.compile(r"^([A-G])\s*(\d+)$")
 
@@ -202,10 +202,8 @@ def make_datum(label: str) -> CartanDatum:
 @lru_cache(maxsize=None)
 def _cartan_inverse(datum: CartanDatum) -> tuple:
     """(det A, adj A), so that A^{-1} = adj A / det A with integer entries throughout."""
-    n = datum.n
-    det = bareiss_det(datum.cartan)
-    cols = [solve_fraction_free(datum.cartan, tuple(int(i == j) for i in range(n))) for j in range(n)]
-    return det, tuple(tuple(int(cols[j][i] * det) for j in range(n)) for i in range(n))
+    det, cols = bareiss(datum.cartan, identity_mat(datum.n))
+    return det, tuple(zip(*cols))
 
 
 def root_to_weight(datum: CartanDatum, coords: tuple) -> tuple:
@@ -285,15 +283,6 @@ def generate_roots(datum: CartanDatum) -> RootSystem:
             raise CartanError("component root count is inconsistent")
         cox.append(h)
     return RootSystem(datum=datum, positive_roots=positives, coxeter_numbers=tuple(cox))
-
-
-def support_of_root(coords: tuple) -> frozenset:
-    """Nodes carrying a nonzero simple-root coordinate."""
-    return frozenset(i for i, x in enumerate(coords) if x != 0)
-
-
-def is_negative(coords: tuple) -> bool:
-    return all(x <= 0 for x in coords) and any(x < 0 for x in coords)
 
 
 def fmt_combo(coords: tuple, template: str) -> str:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 Vec = tuple
 Mat = tuple
@@ -21,53 +21,53 @@ def identity_mat(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def bareiss(a: Mat, cols: tuple = ()) -> tuple:
+    """(det a, adj(a)·b for each b in cols) by one fraction-free Gauss–Jordan pass.
+
+    Bareiss (1968): each step clears the pivot column from the other rows of
+    ``[a | cols]`` and divides exactly by the previous pivot, so every entry
+    stays an integer, the last pivot is det a up to the sign of the row swaps,
+    and the augmented columns end as det(a)·a⁻¹·b.  Without columns the rows
+    above the pivot, which only the columns need, are left alone.  A singular
+    ``a`` gives ``(0, ())``.
+    """
+    n = len(a)
+    m = [list(row) + [b[i] for b in cols] for i, row in enumerate(a)]
+    width = n + len(cols)
+    sign = prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            r = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if r is None:
+                return 0, ()
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        pivot_row, pivot = m[k], m[k][k]
+        for i in range(n) if cols else range(k + 1, n):
+            if i != k:
+                row, f = m[i], m[i][k]
+                for j in range(k + 1, width):
+                    row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * prev, tuple(tuple(sign * row[j] for row in m) for j in range(n, width))
+
+
 def bareiss_det(a: Mat) -> int:
     """Fraction-free determinant of an integer matrix."""
-    m = [list(row) for row in a]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+    return bareiss(a)[0]
 
 
 def solve_fraction_free(a: Mat, rhs: Vec) -> Vec:
-    """Solve an integer-matrix system by Cramer over Bareiss determinants.
+    """Solve an integer-matrix system by one fraction-free elimination.
 
     Rational right-hand sides are cleared to a common denominator first, so
     every elimination step stays in the integers.
     """
-    n = len(a)
-    denom = 1
-    for v in rhs:
-        d = getattr(v, "denominator", 1)
-        denom = denom * d // gcd(denom, d)
-    rhs_int = tuple(int(v * denom) for v in rhs)
-    det = bareiss_det(a)
+    denom = lcm(1, *(getattr(v, "denominator", 1) for v in rhs))
+    det, cols = bareiss(a, (tuple(int(v * denom) for v in rhs),))
     if det == 0:
         raise ValueError("singular system")
-    out = []
-    for k in range(n):
-        col = tuple(
-            tuple(rhs_int[i] if j == k else a[i][j] for j in range(n)) for i in range(n)
-        )
-        out.append(Fraction(bareiss_det(col), det * denom))
-    return tuple(out)
+    return tuple(Fraction(x, det * denom) for x in cols[0])
 
 
 def solve_exact(a: Mat, rhs: Vec) -> Vec:

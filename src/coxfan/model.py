@@ -19,7 +19,6 @@ from .cartan import (
     generate_roots,
     reflect_root,
     reflect_weight,
-    support_of_root,
     weight_to_root_int,
 )
 from .linalg import int_mat_inv, vec_add
@@ -329,8 +328,6 @@ class ClusterModel:
             res = {self.neg_id[i]: m[i] for i in range(self.n) if m[i]}
             if any(gamma_plus):
                 nodes = tuple(i for i in range(self.n) if m[i] == 0)
-                if not support_of_root(gamma_plus) <= set(nodes):
-                    raise ModelError("positive part escapes the complementary sub-diagram")
                 sub_model, emb, node_list = self.restriction(nodes)
                 sub_gamma = tuple(gamma_plus[i] for i in node_list)
                 for sid, coeff in sub_model._expand(sub_gamma).items():
@@ -427,7 +424,10 @@ def _checked_point(n: int, p) -> tuple:
     p = tuple(p)
     if len(p) != n:
         raise ModelError(f"point {p} does not have {n} coordinates")
-    q = tuple(map(int, p))
+    try:
+        q = tuple(map(int, p))
+    except (TypeError, ValueError, OverflowError):   # 'a', nan, None, inf
+        q = None
     if q != p:
         raise ModelError(f"point {p} has a non-integral coordinate")
     return q

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from coxfan.cartan import CartanDatum, support_of_root
+from coxfan.cartan import CartanDatum
 from coxfan.model import ClusterModel
 from coxfan.polytope import HRep, PolytopeError, f_conditions
 from coxfan.weyl import CoxeterElement, WeylError, bipartite_coxeter, elementary_move
@@ -22,6 +22,11 @@ def primitive(v: tuple) -> tuple:
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
+
+
+def support_of_root(coords: tuple) -> frozenset:
+    """Nodes carrying a nonzero simple-root coordinate."""
+    return frozenset(i for i, x in enumerate(coords) if x != 0)
 
 
 def spaced(datum: CartanDatum, s1, s2) -> bool:

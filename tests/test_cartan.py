@@ -14,12 +14,11 @@ from coxfan.cartan import (
     reflect_root,
     reflect_weight,
     root_to_weight,
-    support_of_root,
     weight_to_root,
     weight_to_root_int,
 )
 
-from paper_constructions import spaced
+from paper_constructions import spaced, support_of_root
 
 
 def test_a2_matrix():

@@ -1,11 +1,13 @@
 """Every public name in coxfan has a caller in the library, or a stated reason to exist.
 
 A public top-level function, class or method passes when its name occurs in
-``src/coxfan`` outside its own definition (a method's name as an attribute;
-a method whose name is also stored as an attribute, ``x.name = ...``, only
-as a call ``x.name(...)``, unless it is a property), when the traced
-benchmark wraps it (``SPANNED``/``COUNTED`` in
-``perfbench/tracing.py``), or when ``KEEP`` below gives the reason it stays.
+``src/coxfan`` outside its own definition (a top-level name as a bare name or
+an import, not as an attribute ``x.name``, which reads some object's field
+or method; a method's name as an attribute; a method whose name is also
+stored as an attribute, ``x.name = ...``, only as a call ``x.name(...)``,
+unless it is a property), when the traced benchmark wraps it
+(``SPANNED``/``COUNTED`` in ``perfbench/tracing.py``), or when ``KEEP``
+below gives the reason it stays.
 A function that only tests call fails here: move it into the tests (as the
 constructions in ``tests/paper_constructions.py`` were), give it a library
 caller, or delete it.  A ``KEEP`` entry whose name has since gained a library
@@ -56,11 +58,12 @@ def _public_definitions(trees: dict):
 def _names_outside(tree: ast.AST, skip: ast.AST, use: str = "name") -> set:
     """Names used in ``tree``, not looking inside ``skip``.
 
-    ``use`` is "name" for identifiers, attributes and imported names;
-    "attribute" for attribute names only (``x.name``), as a method is reached
-    through an object, so a local variable of the same name is no use; "call"
-    for called attributes only (``x.name(...)``), as reading a stored field of
-    the same name is no use either.
+    ``use`` is "name" for identifiers and imported names, as a top-level
+    function or class is reached by its bare name; "attribute" for attribute
+    names only (``x.name``), as a method is reached through an object, so a
+    local variable of the same name is no use; "call" for called attributes
+    only (``x.name(...)``), as reading a stored field of the same name is no
+    use either.
     """
     out, stack = set(), [tree]
     while stack:
@@ -72,7 +75,7 @@ def _names_outside(tree: ast.AST, skip: ast.AST, use: str = "name") -> set:
                 out.add(node.func.attr)
         elif isinstance(node, ast.Name) and use == "name":
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and use == "attribute":
             out.add(node.attr)
         elif isinstance(node, ast.alias) and use == "name":
             out.add(node.asname or node.name)
@@ -126,7 +129,9 @@ def test_no_exemption_outlives_its_reason():
 
 
 # A method shadowed by a field of the same name: CoxeterElement.h(i) once had
-# no caller while BipartiteOracle's ``self.h = ...`` read as a use of it.
+# no caller while BipartiteOracle's ``self.h = ...`` read as a use of it.  And
+# a function shadowed by a property: cartan.is_negative(coords) once had no
+# library caller while ``lab.is_negative``, the Label property, read as one.
 SHADOWED = """
 class CoxeterElement:
     def h(self, i):
@@ -147,7 +152,17 @@ class BipartiteOracle:
         self.size = 1
 
     def show(self, c):
-        return c.render(), self.h
+        return c.render(), self.h, [lab for lab in c.labels if lab.is_negative]
+
+
+class Label:
+    @property
+    def is_negative(self):
+        return False
+
+
+def is_negative(coords):
+    return all(x <= 0 for x in coords) and any(x < 0 for x in coords)
 """
 
 
@@ -156,7 +171,15 @@ def test_a_method_shadowed_by_a_field_needs_a_call():
     h = next(node for qual, _, node in _public_definitions(trees) if qual == "x.CoxeterElement.h")
     assert "h" in _names_outside(trees["x"], h, "attribute")   # the field alone would keep it
     assert unused_public_names(trees, allowed={"x.CoxeterElement", "x.BipartiteOracle",
-                                               "x.BipartiteOracle.show"}) == ["x.CoxeterElement.h"]
+                                               "x.BipartiteOracle.show", "x.Label",
+                                               "x.is_negative"}) == ["x.CoxeterElement.h"]
+
+
+def test_a_function_shadowed_by_an_attribute_needs_a_bare_name():
+    trees = {"x": ast.parse(SHADOWED)}
+    unused = unused_public_names(trees, allowed=set())
+    assert "x.is_negative" in unused            # ``lab.is_negative`` reads the property
+    assert "x.Label.is_negative" not in unused
 
 
 def test_an_exemption_with_a_caller_or_a_span_is_stale():

@@ -448,7 +448,8 @@ def test_expansion_refuses_a_point_of_the_wrong_length(side, point):
     assert m._expand_cache == {}
 
 
-@pytest.mark.parametrize("point", [(Fraction(1, 2), 0, 0), (1.7, 0, 0)])
+@pytest.mark.parametrize("point", [(Fraction(1, 2), 0, 0), (1.7, 0, 0), ("a", 0, 0),
+                                   (float("nan"), 0, 0), (None, 0, 0), (float("inf"), 0, 0)])
 def test_expansion_refuses_a_non_integral_point(point):
     # Truncating a coordinate would expand (1/2, 0, 0) as 0 and (1.7, 0, 0) as (1, 0, 0).
     m = ClusterModel(A3, coxeter_from_order(A3, (0, 1, 2)))

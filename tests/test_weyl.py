@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from coxfan.cartan import generate_roots, is_negative, make_datum
+from coxfan.cartan import generate_roots, make_datum
 from coxfan.weyl import (
     WeylElement,
     WeylError,
@@ -34,6 +34,10 @@ from paper_constructions import bipartite_via_leaf, connect_coxeter
 
 A3 = make_datum("A3")
 C = coxeter_from_order(A3, (0, 1, 2))
+
+
+def is_negative(coords: tuple) -> bool:
+    return all(x <= 0 for x in coords) and any(x < 0 for x in coords)
 
 
 def length(w) -> int:
