@@ -21,7 +21,7 @@ from .cartan import (
     reflect_weight,
     weight_to_root_int,
 )
-from .linalg import int_mat_inv, vec_add
+from .linalg import bareiss, identity_mat, vec_add
 from .weyl import CoxeterElement, coxeter_from_order, node_involution
 
 
@@ -421,7 +421,10 @@ def _typecode(size: int) -> str:
 
 def _checked_point(n: int, p) -> tuple:
     """The lattice point p as a tuple of n ints; a wrong length or a non-integral coordinate raises."""
-    p = tuple(p)
+    try:
+        p = tuple(p)
+    except TypeError:   # 5, None: not a sequence at all
+        raise ModelError(f"point {p} does not have {n} coordinates") from None
     if len(p) != n:
         raise ModelError(f"point {p} does not have {n} coordinates")
     try:
@@ -614,10 +617,17 @@ def cone_coefficient_matrices(model: ClusterModel):
     """Integer inverse of each cluster's root-coordinate basis matrix.
 
     Clusters are Z-bases (determinant +-1), so the inverses are integral and
-    cone membership reduces to integer sign checks.
+    cone membership reduces to integer sign checks.  One Bareiss pass over the
+    transpose (rows are labels) against the identity columns gives the rows of
+    the adjugate, and the inverse is det times it.
     """
-    return [int_mat_inv(tuple(zip(*(model.labels[k].root for k in cl))))  # columns are labels
-            for cl in model.clusters()]
+    out = []
+    for cl in model.clusters():
+        det, rows = bareiss(tuple(model.labels[k].root for k in cl), identity_mat(model.n))
+        if det not in (1, -1):
+            raise ModelError(f"cluster {list(cl)} has determinant {det}, not a Z-basis")
+        out.append(tuple(tuple(det * x for x in row) for row in rows))
+    return out
 
 
 def cone_membership(model: ClusterModel, points):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .cartan import CartanDatum, fmt_combo
@@ -165,16 +165,26 @@ def vertices(model: ClusterModel, hrep: HRep) -> VRep:
 
 
 def verify_support_function(model: ClusterModel, f: SupportData, vrep: VRep) -> list:
-    """max_v <v, lambda> must equal f(i) with maximizers exactly the clusters containing lambda."""
+    """max_v <v, lambda> must equal f(i) with maximizers exactly the clusters containing lambda.
+
+    The vertices and f are scaled by the lcm of all their denominators, so
+    each (label, vertex) pairing is one integer dot product.
+    """
+    den = lcm(*(x.denominator for v in vrep.vertices for x in v), *(x.denominator for x in f.values))
+    verts = [tuple(x.numerator * (den // x.denominator) for x in v) for v in vrep.vertices]
+    containing = [set() for _ in model.labels]
+    for k, cl in enumerate(vrep.clusters):
+        for idx in cl:
+            containing[idx].add(k)
     problems = []
     for lab in model.labels:
-        best = max(vec_dot(v, lab.weight) for v in vrep.vertices)
-        if best != f[lab.node]:
-            problems.append(f"support value of label {lab.index} is {best}, expected f({lab.node + 1})")
+        vals = [sum(map(mul, lab.weight, v)) for v in verts]
+        best = max(vals)
+        if best != f[lab.node] * den:
+            problems.append(f"support value of label {lab.index} is {Fraction(best, den)}, "
+                            f"expected f({lab.node + 1})")
             continue
-        argmax = {k for k, v in enumerate(vrep.vertices) if vec_dot(v, lab.weight) == best}
-        containing = {k for k, cl in enumerate(vrep.clusters) if lab.index in cl}
-        if argmax != containing:
+        if {k for k, x in enumerate(vals) if x == best} != containing[lab.index]:
             problems.append(f"maximizers of label {lab.index} are not its clusters")
     return problems
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cartan import CartanDatum, weight_to_root
+from .cartan import CartanDatum, reflect_weight, weight_to_root
 from .linalg import bareiss_det
 from .model import BipartiteOracle, ClusterModel, bar_map, build_model, cone_membership, iota_map, sigma_map
 from .mutation import exchange_graph, verify_exchange_relations
@@ -269,10 +269,9 @@ def compat_pi_independent(model: ClusterModel, a: int, b: int) -> int:
     Walks tau on raw weight coordinates (omega_i if the weight is -omega_i,
     c times it otherwise) until the first argument is a fundamental weight,
     then reads the positive part of the alpha_i-coordinate of phi_c of the other.
+    c^{-1} is applied as its reflection word, s_{o_1} first, so no matrix is inverted.
     """
     datum, c = model.datum, model.c
-    n = datum.n
-    cinv = c.wel.inverse()
     x = model.labels[a].weight
     y = model.labels[b].weight
 
@@ -285,7 +284,10 @@ def compat_pi_independent(model: ClusterModel, a: int, b: int) -> int:
     for _ in range(model.tau_order + 1):
         node = _fundamental(x)
         if node is not None:
-            img = tuple(p - q for p, q in zip(cinv.apply_weight(y), y))
+            cinv_y = y
+            for s in c.order:
+                cinv_y = reflect_weight(datum, s, cinv_y)
+            img = tuple(p - q for p, q in zip(cinv_y, y))
             val = weight_to_root(datum, img)[node]
             return int(val) if val > 0 else 0
         x, y = tau_w(x), tau_w(y)

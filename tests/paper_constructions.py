@@ -2,17 +2,19 @@
 
 The spacing criterion of the compatibility degree (section 3), the
 conjugation of c to a bipartite element that fixes a leaf (section 4), the
-admissibility cone of f with f(i*) = f(i) folded in, and the facets grouped
-by tau-orbit.  The library itself needs none of them, so they live here,
-next to the tests that assert them.
+admissibility cone of f with f(i*) = f(i) folded in, the facets grouped
+by tau-orbit, and the support-function check done directly in Fractions.
+The library itself needs none of them, so they live here, next to the
+tests that assert them.
 """
 from __future__ import annotations
 
 from math import gcd
 
 from coxfan.cartan import CartanDatum
+from coxfan.linalg import vec_dot
 from coxfan.model import ClusterModel
-from coxfan.polytope import HRep, PolytopeError, f_conditions
+from coxfan.polytope import HRep, PolytopeError, SupportData, VRep, f_conditions
 from coxfan.weyl import CoxeterElement, WeylError, bipartite_coxeter, elementary_move
 
 
@@ -66,6 +68,22 @@ def hrep_orbit_groups(model: ClusterModel, hrep: HRep):
             raise PolytopeError("facets of one orbit carry different right-hand sides")
         groups.append((normals, rhs.pop()))
     return tuple(groups)
+
+
+def support_function_in_fractions(model: ClusterModel, f: SupportData, vrep: VRep) -> list:
+    """The support-function check in Fractions, one label at a time: the reference
+    that ``polytope.verify_support_function`` must agree with, problem for problem."""
+    problems = []
+    for lab in model.labels:
+        best = max(vec_dot(v, lab.weight) for v in vrep.vertices)
+        if best != f[lab.node]:
+            problems.append(f"support value of label {lab.index} is {best}, expected f({lab.node + 1})")
+            continue
+        argmax = {k for k, v in enumerate(vrep.vertices) if vec_dot(v, lab.weight) == best}
+        containing = {k for k, cl in enumerate(vrep.clusters) if lab.index in cl}
+        if argmax != containing:
+            problems.append(f"maximizers of label {lab.index} are not its clusters")
+    return problems
 
 
 def connect_coxeter(c: CoxeterElement, target: CoxeterElement, avoid=()) -> tuple:

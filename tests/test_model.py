@@ -1,8 +1,10 @@
 """Label model: orbits, compatibility, clusters, expansions, structural maps."""
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
+import re
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -12,7 +14,7 @@ import pytest
 from coxfan import linalg, weyl
 from coxfan import model as model_module
 from coxfan.cartan import generate_roots, make_datum, root_to_weight
-from coxfan.linalg import bareiss_det
+from coxfan.linalg import bareiss_det, identity_mat, mat_mul
 from coxfan.model import (
     BipartiteOracle,
     ClusterList,
@@ -20,6 +22,7 @@ from coxfan.model import (
     ModelError,
     bar_map,
     build_model,
+    cone_coefficient_matrices,
     cone_membership,
     iota_map,
     sigma_map,
@@ -418,6 +421,43 @@ def test_expansion_agrees_with_cone_solution():
             assert got == want
 
 
+CONE_TYPES = ("A1", "A2", "A3", "B2", "C3", "G2", "A4", "D4", "F4", "B4", "D5", "E6", "E7", "E8")
+
+
+@pytest.mark.parametrize("label", CONE_TYPES)
+def test_cone_inverses_match_the_gauss_jordan_inverse(label, monkeypatch):
+    d = make_datum(label)
+    m = build_model(d, coxeter_from_order(d, tuple(range(d.n))))
+    clusters = m.clusters()
+
+    def refuse(*args):
+        raise AssertionError("int_mat_inv called for the cone inverses")
+
+    for module in (linalg, model_module):
+        monkeypatch.setattr(module, "int_mat_inv", refuse, raising=False)
+    inverses = cone_coefficient_matrices(m)
+    monkeypatch.undo()
+    assert len(inverses) == len(clusters)
+    eye = identity_mat(d.n)
+    bases = [tuple(zip(*(m.labels[k].root for k in cl))) for cl in clusters]
+    # M * M^-1 = I on every cluster pins the one inverse; the Fraction Gauss-Jordan
+    # reference is compared on every cluster through D5 and on a stride of at most
+    # 250 clusters on E6-E8, where it would take minutes.
+    assert all(mat_mul(basis, inv) == eye for basis, inv in zip(bases, inverses))
+    stride = -(-len(clusters) // 250)
+    for k in range(0, len(clusters), stride):
+        assert inverses[k] == linalg.int_mat_inv(bases[k]), clusters[k]
+
+
+def test_cone_inverses_refuse_a_basis_that_is_not_unimodular(monkeypatch):
+    m = ClusterModel(A3, coxeter_from_order(A3, (0, 1, 2)))
+    first = next(cl for cl in m.clusters() if 0 in cl)
+    doubled = dataclasses.replace(m.labels[0], root=tuple(2 * x for x in m.labels[0].root))
+    monkeypatch.setattr(m, "labels", (doubled,) + m.labels[1:])
+    with pytest.raises(ModelError, match=re.escape(f"cluster {list(first)} has determinant ")):
+        cone_coefficient_matrices(m)
+
+
 def test_cone_membership_is_exact_past_int64():
     from coxfan.linalg import solve_exact
 
@@ -439,12 +479,14 @@ def test_cone_membership_is_exact_past_int64():
         cone_membership(m, [(1, 2)])
 
 
-@pytest.mark.parametrize("side", ["expand_root", "expand_weight"])
-@pytest.mark.parametrize("point", [(), (1,), (1, 2), (1, 2, 3, 4), (0, 0, 0, 0, 0)])
+@pytest.mark.parametrize("side", ["expand_root", "expand_weight", "cone_membership"])
+@pytest.mark.parametrize("point", [(), (1,), (1, 2), (1, 2, 3, 4), (0, 0, 0, 0, 0), 5, None])
 def test_expansion_refuses_a_point_of_the_wrong_length(side, point):
+    # 5 and None are whole points, not coordinates: tuple() cannot read them at all.
     m = ClusterModel(A3, coxeter_from_order(A3, (0, 1, 2)))
+    query = (lambda p: cone_membership(m, [(1, 0, 0), p])) if side == "cone_membership" else getattr(m, side)
     with pytest.raises(ModelError, match="does not have 3 coordinates"):
-        getattr(m, side)(point)
+        query(point)
     assert m._expand_cache == {}
 
 

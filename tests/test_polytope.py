@@ -1,9 +1,11 @@
 """Associahedra: support data, H/V representations, Cambrian equality, export."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -33,7 +35,7 @@ from coxfan.polytope import (
 from coxfan.linalg import vec_dot
 from coxfan.weyl import all_coxeter_elements, coxeter_from_order
 
-from paper_constructions import folded_inequalities, hrep_orbit_groups
+from paper_constructions import folded_inequalities, hrep_orbit_groups, support_function_in_fractions
 
 A3 = make_datum("A3")
 C3 = make_datum("C3")
@@ -139,6 +141,49 @@ def test_vertices_simple_and_support_function():
         for f in [default_f(model.datum)] + [random_valid_f(model.datum, rng) for _ in range(5)]:
             vrep = vertices(model, build_hrep(model, f))
             assert not verify_support_function(model, f, vrep)
+
+
+SUPPORT_CASES = [(label, c) for label in ("A3", "B3", "C3", "G2", "A1xB2")
+                 for c in all_coxeter_elements(make_datum(label))]
+
+
+@pytest.mark.parametrize("label,c", SUPPORT_CASES,
+                         ids=[f"{lab}-{c.render()}" for lab, c in SUPPORT_CASES])
+def test_support_function_agrees_with_the_fraction_reference(label, c):
+    d = make_datum(label)
+    m = build_model(d, c)
+    rng = random.Random(5)
+    for f in [default_f(d)] + [random_valid_f(d, rng) for _ in range(5)]:
+        vrep = vertices(m, build_hrep(m, f))
+        assert verify_support_function(m, f, vrep) == support_function_in_fractions(m, f, vrep) == []
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "A1xB2"])
+def test_tampered_support_data_gives_the_reference_problems(label):
+    d = make_datum(label)
+    m = build_model(d, coxeter_from_order(d, tuple(range(d.n))))
+    f = random_valid_f(d, random.Random(2))
+    vrep = vertices(m, build_hrep(m, f))
+    den = lcm(*(x.denominator for v in vrep.vertices for x in v), *(x.denominator for x in f.values))
+    # One coordinate of one vertex moves by half a unit of the common denominator,
+    # outwards for a label through it: that label's support value leaves the grid.
+    verts = list(vrep.vertices)
+    w = m.labels[vrep.clusters[3][0]].weight
+    j = next(j for j, x in enumerate(w) if x)
+    verts[3] = tuple(x + (k == j) * Fraction(w[j], 2 * abs(w[j]) * den) for k, x in enumerate(verts[3]))
+    moved = dataclasses.replace(vrep, vertices=tuple(verts))
+    # One label's f value changes while the vertices stay put.
+    node = m.labels[-1].node
+    raised = SupportData(tuple(x + (k == node) for k, x in enumerate(f.values)))
+    # Two vertices trade clusters: every value stays, the maximizers move.
+    clusters = list(vrep.clusters)
+    clusters[0], clusters[1] = clusters[1], clusters[0]
+    swapped = dataclasses.replace(vrep, clusters=tuple(clusters))
+    for f_used, v_used in ((f, moved), (raised, vrep), (f, swapped)):
+        problems = verify_support_function(m, f_used, v_used)
+        assert problems and problems == support_function_in_fractions(m, f_used, v_used)
+    assert any(p.startswith(f"support value of label {vrep.clusters[3][0]} is ")
+               for p in verify_support_function(m, f, moved))
 
 
 def test_check_polytopality_strict_everywhere():

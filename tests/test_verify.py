@@ -16,7 +16,7 @@ from coxfan.cartan import make_datum
 from coxfan.cli import main
 from coxfan.model import BipartiteOracle, build_model
 from coxfan.polytope import PolytopeError, default_f, random_valid_f
-from coxfan.weyl import coxeter_from_order
+from coxfan.weyl import WeylElement, all_coxeter_elements, coxeter_from_order
 
 A3 = make_datum("A3")
 C_A3 = coxeter_from_order(A3, (0, 1, 2))
@@ -257,6 +257,29 @@ def test_bar_names_first_label_that_breaks_tau(monkeypatch):
     # the identity onto the model itself keeps every degree but sends tau to tau, not tau^-1
     monkeypatch.setattr(V, "bar_map", lambda model: (model, tuple(range(len(model.labels)))))
     assert maps_details()["bar"] == (False, "first: label 0: the map does not intertwine tau")
+
+
+@pytest.mark.parametrize("label", ["B3", "F4", "E6", "A1xB2"])
+def test_maps_suite_never_inverts_a_matrix(label, monkeypatch):
+    d = make_datum(label)
+
+    def forbidden(self):
+        raise AssertionError("WeylElement.inverse called")
+
+    monkeypatch.setattr(WeylElement, "inverse", forbidden)
+    rows = V.suite_maps(d, coxeter_from_order(d, tuple(range(d.n))))
+    assert rows and all(r.ok for r in rows), [r for r in rows if not r.ok]
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "A1xB2"])
+def test_weight_side_degree_is_the_compatibility_degree(label):
+    d = make_datum(label)
+    for c in all_coxeter_elements(d):
+        m = build_model(d, c)
+        size = len(m.labels)
+        bad = [(a, b) for a in range(size) for b in range(size)
+               if V.compat_pi_independent(m, a, b) != m.compat(a, b)]
+        assert not bad, (c.order, bad[:3])
 
 
 def test_a_singleton_that_is_not_sortable_fails_both_rows(monkeypatch, capsys):
