@@ -141,21 +141,30 @@ def build_hrep(model: ClusterModel, f: SupportData) -> HRep:
     return HRep(tuple(facets))
 
 
+MISSED_FACET = "vertex misses a defining facet"
+EXTRA_FACET = "vertex is not simple: an extra facet is tight or violated"
+
+
 def vertices(model: ClusterModel, hrep: HRep) -> VRep:
     """One exact vertex per cluster; simplicity is asserted, not assumed."""
+    vrep = solve_vertices(model, hrep)
+    check_simple(hrep, vrep)
+    return vrep
+
+
+def solve_vertices(model: ClusterModel, hrep: HRep) -> VRep:
+    """One vertex per cluster, solved exactly from its defining facets, and the edges.
+
+    Nothing is checked: the vertex of a cluster lies on that cluster's facets
+    by construction, and whether it lies strictly inside every other facet is
+    left to ``check_simple`` or to ``verify_support_function``.
+    """
     facets = hrep.facets
     verts = []
     for cl in model.clusters():
         rows = tuple(facets[k].normal for k in cl)
         rhs = tuple(facets[k].rhs for k in cl)
         v = solve_fraction_free(rows, rhs)
-        for k, fa in enumerate(facets):
-            val = vec_dot(fa.normal, v)
-            if k in cl:
-                if val != fa.rhs:
-                    raise PolytopeError("vertex misses a defining facet")
-            elif val >= fa.rhs:
-                raise PolytopeError("vertex is not simple: an extra facet is tight or violated")
         verts.append(tuple(Fraction(x) for x in v))
     pairs = model.adjacent_cluster_pairs().flat
     edges = array(pairs.typecode)
@@ -164,29 +173,63 @@ def vertices(model: ClusterModel, hrep: HRep) -> VRep:
     return VRep(tuple(verts), model.clusters(), ClusterList(edges, 2))
 
 
-def verify_support_function(model: ClusterModel, f: SupportData, vrep: VRep) -> list:
-    """max_v <v, lambda> must equal f(i) with maximizers exactly the clusters containing lambda.
+def check_simple(hrep: HRep, vrep: VRep) -> None:
+    """Raise unless each vertex is tight on its cluster's facets and strictly inside the rest.
+
+    Every (vertex, facet) pair is evaluated in Fractions, in cluster order and
+    then facet order; the first pair that fails raises.
+    """
+    facets = hrep.facets
+    for v, cl in zip(vrep.vertices, vrep.clusters):
+        for k, fa in enumerate(facets):
+            val = vec_dot(fa.normal, v)
+            if k in cl:
+                if val != fa.rhs:
+                    raise PolytopeError(MISSED_FACET)
+            elif val >= fa.rhs:
+                raise PolytopeError(EXTRA_FACET)
+
+
+def verify_support_function(model: ClusterModel, f: SupportData, vrep: VRep) -> tuple:
+    """Simplicity and the support function, decided from one set of (label, vertex) values.
 
     The vertices and f are scaled by the lcm of all their denominators, so
-    each (label, vertex) pairing is one integer dot product.
+    each pairing is one integer dot product.  Returns ``(witness, problems)``:
+    ``witness`` is None when every vertex is tight on its cluster's labels and
+    strictly below f on the rest, else it names the first vertex (by its
+    cluster) and label that break this, in ``check_simple``'s order;
+    ``problems`` names each label whose max_v <v, lambda> is not f(i) or whose
+    maximizers are not exactly the clusters containing it.
     """
     den = lcm(*(x.denominator for v in vrep.vertices for x in v), *(x.denominator for x in f.values))
     verts = [tuple(x.numerator * (den // x.denominator) for x in v) for v in vrep.vertices]
+    targets = [x.numerator * (den // x.denominator) for x in f.values]
     containing = [set() for _ in model.labels]
     for k, cl in enumerate(vrep.clusters):
         for idx in cl:
             containing[idx].add(k)
     problems = []
+    first = None   # (vertex index, label index, failure) of the first non-simple pair
     for lab in model.labels:
         vals = [sum(map(mul, lab.weight, v)) for v in verts]
+        target, own = targets[lab.node], containing[lab.index]
         best = max(vals)
-        if best != f[lab.node] * den:
+        argmax = {k for k, x in enumerate(vals) if x == best} if best == target else None
+        if argmax == own:
+            continue   # tight exactly on its own vertices, strictly below elsewhere
+        if best != target:
             problems.append(f"support value of label {lab.index} is {Fraction(best, den)}, "
                             f"expected f({lab.node + 1})")
-            continue
-        if {k for k, x in enumerate(vals) if x == best} != containing[lab.index]:
+        else:
             problems.append(f"maximizers of label {lab.index} are not its clusters")
-    return problems
+        k = next((k for k, x in enumerate(vals) if (x != target if k in own else x >= target)), None)
+        if k is not None and (first is None or k < first[0]):
+            first = (k, lab.index, MISSED_FACET if k in own else EXTRA_FACET)
+    witness = None
+    if first is not None:
+        k, idx, failure = first
+        witness = f"cluster {list(vrep.clusters[k])}, label {idx}: {failure}"
+    return witness, problems
 
 
 def check_polytopality(model: ClusterModel, f_values) -> list:

@@ -14,14 +14,13 @@ from .linalg import bareiss_det
 from .model import BipartiteOracle, ClusterModel, bar_map, build_model, cone_membership, iota_map, sigma_map
 from .mutation import exchange_graph, verify_exchange_relations
 from .polytope import (
-    PolytopeError,
     build_hrep,
     cambrian_rays,
     check_polytopality,
     default_f,
     polytopes_equal,
     random_valid_f,
-    vertices,
+    solve_vertices,
     verify_support_function,
     violated_condition,
 )
@@ -135,8 +134,11 @@ def suite_fan(datum: CartanDatum, c: CoxeterElement, points: int = 1000, seed: i
 def suite_polytope(datum: CartanDatum, c: CoxeterElement, random_fs: int = 20, seed: int = 0) -> list:
     """Simple vertices, support function and strict exchange inequalities for each f.
 
-    A failed check names its first f, with the error, the label or the
-    exchanged label pair that breaks it.
+    Each f's vertices are solved once, and one scaled-integer pass over the
+    (label, vertex) values decides both simplicity and the support function;
+    an f whose vertices are not simple is not checked further.  A failed check
+    names its first f, with the cluster and label, the label or the exchanged
+    label pair that breaks it.
     """
     model = build_model(datum, c)
     rng = random.Random(seed)
@@ -144,12 +146,11 @@ def suite_polytope(datum: CartanDatum, c: CoxeterElement, random_fs: int = 20, s
     first = {}   # check name -> its first witness
     for f in fs:
         f_text = "f=" + ",".join(str(x) for x in f.values)
-        try:
-            vrep = vertices(model, build_hrep(model, f))   # raises unless every vertex is simple
-        except PolytopeError as exc:
-            first.setdefault("vertices-simple", f"{f_text}: {exc}")
+        not_simple, problems = verify_support_function(model, f, solve_vertices(model, build_hrep(model, f)))
+        if not_simple:
+            first.setdefault("vertices-simple", f"{f_text}: {not_simple}")
             continue
-        for problem in verify_support_function(model, f, vrep)[:1]:
+        for problem in problems[:1]:
             first.setdefault("support-function", f"{f_text}: {problem}")
         for a, b, lhs, rhs in check_polytopality(model, f.values)[:1]:
             first.setdefault("exchange-inequalities", f"{f_text}: labels {a}, {b}: "

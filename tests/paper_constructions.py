@@ -3,7 +3,8 @@
 The spacing criterion of the compatibility degree (section 3), the
 conjugation of c to a bipartite element that fixes a leaf (section 4), the
 admissibility cone of f with f(i*) = f(i) folded in, the facets grouped
-by tau-orbit, and the support-function check done directly in Fractions.
+by tau-orbit, and the support-function and simplicity checks done directly
+in Fractions.
 The library itself needs none of them, so they live here, next to the
 tests that assert them.
 """
@@ -14,7 +15,7 @@ from math import gcd
 from coxfan.cartan import CartanDatum
 from coxfan.linalg import vec_dot
 from coxfan.model import ClusterModel
-from coxfan.polytope import HRep, PolytopeError, SupportData, VRep, f_conditions
+from coxfan.polytope import HRep, PolytopeError, SupportData, VRep, check_simple, f_conditions
 from coxfan.weyl import CoxeterElement, WeylError, bipartite_coxeter, elementary_move
 
 
@@ -84,6 +85,27 @@ def support_function_in_fractions(model: ClusterModel, f: SupportData, vrep: VRe
         if argmax != containing:
             problems.append(f"maximizers of label {lab.index} are not its clusters")
     return problems
+
+
+def simplicity_in_fractions(hrep: HRep, vrep: VRep):
+    """``polytope.check_simple``, located: None when it passes, else the witness
+    that ``polytope.verify_support_function`` must give.
+
+    The first vertex it rejects is found by checking one vertex at a time, and
+    the first facet by checking that vertex against ever longer prefixes of the
+    facets.  Facet k is label k, as ``build_hrep`` lays them out.
+    """
+    for v, cl in zip(vrep.vertices, vrep.clusters):
+        one = VRep((v,), (cl,), ())
+        try:
+            check_simple(hrep, one)
+        except PolytopeError:
+            for k in range(len(hrep.facets)):
+                try:
+                    check_simple(HRep(hrep.facets[:k + 1]), one)
+                except PolytopeError as exc:
+                    return f"cluster {list(cl)}, label {k}: {exc}"
+    return None
 
 
 def connect_coxeter(c: CoxeterElement, target: CoxeterElement, avoid=()) -> tuple:

@@ -196,7 +196,7 @@ def test_criterion_05_polytopality():
                 fs = [default_f(d)] + [random_valid_f(d, rng) for _ in range(20)]
                 for f in fs:
                     vrep = vertices(m, build_hrep(m, f))     # raises unless simple
-                    assert verify_support_function(m, f, vrep) == []
+                    assert verify_support_function(m, f, vrep) == (None, [])
                     assert check_polytopality(m, f.values) == []
                     tried += 1
             bad = _broken_f_for(d)

@@ -225,6 +225,26 @@ def test_seed_walk_over_the_budget_exits_2(monkeypatch, capsys):
     assert err == "error: seed graph exceeded the cap of 10 seeds\n"
 
 
+def test_polytope_keeps_its_simplicity_check(monkeypatch, capsys):
+    import dataclasses
+
+    import coxfan.cli
+    from coxfan.polytope import HRep
+
+    true_build = coxfan.cli.build_hrep
+
+    def lowered(model, f):
+        """The true facets, with the first one's right-hand side lowered by 1."""
+        facets = list(true_build(model, f).facets)
+        facets[0] = dataclasses.replace(facets[0], rhs=facets[0].rhs - 1)
+        return HRep(tuple(facets))
+
+    monkeypatch.setattr(coxfan.cli, "build_hrep", lowered)
+    code, out, err = run(capsys, "polytope", "A3", "--coxeter", "1,2,3")
+    assert (code, out) == (2, "")
+    assert err == "error: vertex is not simple: an extra facet is tight or violated\n"
+
+
 def test_output_ignores_the_old_cap_variables(monkeypatch, capsys):
     argvs = (("verify", "A3", "--suite", "exchange"), ("verify", "A2", "--suite", "sorting"))
     plain = [run(capsys, *argv) for argv in argvs]

@@ -12,6 +12,8 @@ import pytest
 from coxfan.cartan import make_datum
 from coxfan.model import build_model
 from coxfan.polytope import (
+    EXTRA_FACET,
+    MISSED_FACET,
     Facet,
     PolytopeError,
     SupportData,
@@ -20,6 +22,7 @@ from coxfan.polytope import (
     cambrian_rays,
     check_polytopality,
     chamber_point,
+    check_simple,
     default_f,
     export_json,
     export_off,
@@ -28,14 +31,21 @@ from coxfan.polytope import (
     polytopes_equal,
     random_valid_f,
     render_condition,
+    solve_vertices,
     vertices,
     verify_support_function,
     violated_condition,
 )
 from coxfan.linalg import vec_dot
+from coxfan.verify import _broken_f
 from coxfan.weyl import all_coxeter_elements, coxeter_from_order
 
-from paper_constructions import folded_inequalities, hrep_orbit_groups, support_function_in_fractions
+from paper_constructions import (
+    folded_inequalities,
+    hrep_orbit_groups,
+    simplicity_in_fractions,
+    support_function_in_fractions,
+)
 
 A3 = make_datum("A3")
 C3 = make_datum("C3")
@@ -140,7 +150,7 @@ def test_vertices_simple_and_support_function():
     for model in (MA3, MC3):
         for f in [default_f(model.datum)] + [random_valid_f(model.datum, rng) for _ in range(5)]:
             vrep = vertices(model, build_hrep(model, f))
-            assert not verify_support_function(model, f, vrep)
+            assert verify_support_function(model, f, vrep) == (None, [])
 
 
 SUPPORT_CASES = [(label, c) for label in ("A3", "B3", "C3", "G2", "A1xB2")
@@ -154,8 +164,20 @@ def test_support_function_agrees_with_the_fraction_reference(label, c):
     m = build_model(d, c)
     rng = random.Random(5)
     for f in [default_f(d)] + [random_valid_f(d, rng) for _ in range(5)]:
-        vrep = vertices(m, build_hrep(m, f))
-        assert verify_support_function(m, f, vrep) == support_function_in_fractions(m, f, vrep) == []
+        hrep = build_hrep(m, f)
+        vrep = solve_vertices(m, hrep)
+        assert vertices(m, hrep) == vrep     # the Fraction check passes: the vertices are simple
+        assert verify_support_function(m, f, vrep) == (None, support_function_in_fractions(m, f, vrep)) \
+            == (simplicity_in_fractions(hrep, vrep), [])
+    # An f outside the admissible cone: both checks reject, at the same vertex and label.
+    f = SupportData(tuple(Fraction(x) for x in _broken_f(d)))
+    hrep = build_hrep(m, f)
+    vrep = solve_vertices(m, hrep)
+    witness = verify_support_function(m, f, vrep)[0]
+    with pytest.raises(PolytopeError) as exc:
+        vertices(m, hrep)
+    assert witness and witness == simplicity_in_fractions(hrep, vrep)
+    assert witness.endswith(f": {exc.value}")
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "A1xB2"])
@@ -180,10 +202,50 @@ def test_tampered_support_data_gives_the_reference_problems(label):
     clusters[0], clusters[1] = clusters[1], clusters[0]
     swapped = dataclasses.replace(vrep, clusters=tuple(clusters))
     for f_used, v_used in ((f, moved), (raised, vrep), (f, swapped)):
-        problems = verify_support_function(m, f_used, v_used)
+        witness, problems = verify_support_function(m, f_used, v_used)
         assert problems and problems == support_function_in_fractions(m, f_used, v_used)
+        assert witness and witness == simplicity_in_fractions(build_hrep(m, f_used), v_used)
     assert any(p.startswith(f"support value of label {vrep.clusters[3][0]} is ")
-               for p in verify_support_function(m, f, moved))
+               for p in verify_support_function(m, f, moved)[1])
+
+
+def edge_toward_lower_label(m):
+    """(k, k2, a, b) for an edge from cluster k to cluster k2 whose exchange
+    drops label a of k for label b < a of k2."""
+    for c1, c2, a, b in m.adjacent_cluster_pairs():
+        if b < a:
+            return c1, c2, a, b
+        if a < b:
+            return c2, c1, b, a
+    raise AssertionError("no edge")
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "A1xB2"])
+def test_tampered_vertices_fail_simplicity_like_the_fraction_check(label):
+    d = make_datum(label)
+    m = build_model(d, coxeter_from_order(d, tuple(range(d.n))))
+    f = random_valid_f(d, random.Random(3))
+    hrep = build_hrep(m, f)
+    vrep = solve_vertices(m, hrep)
+    k, k2, a, b = edge_toward_lower_label(m)
+    v, w = vrep.vertices[k], vrep.vertices[k2]
+
+    def moved_to(t):
+        """Vertex k moved along its edge to v + t (w - v): the other labels of
+        cluster k stay tight, a goes slack, and b is tight at t = 1."""
+        verts = list(vrep.vertices)
+        verts[k] = tuple(x + t * (y - x) for x, y in zip(v, w))
+        return dataclasses.replace(vrep, vertices=tuple(verts))
+
+    # onto label b (not one of cluster k's), across it, and off label a (one of cluster k's)
+    for t, kind, j in ((Fraction(1), EXTRA_FACET, b), (Fraction(101, 100), EXTRA_FACET, b),
+                       (Fraction(1, 2), MISSED_FACET, a)):
+        tampered = moved_to(t)
+        with pytest.raises(PolytopeError, match=f"^{kind}$"):
+            check_simple(hrep, tampered)     # what vertices() raises on these vertices
+        witness, _ = verify_support_function(m, f, tampered)
+        assert witness == f"cluster {list(vrep.clusters[k])}, label {j}: {kind}"
+        assert witness == simplicity_in_fractions(hrep, tampered)
 
 
 def test_check_polytopality_strict_everywhere():
@@ -312,7 +374,7 @@ def test_reducible_polytope_prism():
     # segment x pentagon: 2*5 vertices, 2+5 facets, 5 + 2*5 edges
     assert (len(vrep.vertices), len(hrep.facets), len(vrep.edges)) == (10, 7, 15)
     assert len(vrep.vertices) - len(vrep.edges) + len(hrep.facets) == 2
-    assert verify_support_function(m, f, vrep) == []
+    assert verify_support_function(m, f, vrep) == (None, [])
     assert check_polytopality(m, f.values) == []
     ok, witness = polytopes_equal(m, f)
     assert ok, witness

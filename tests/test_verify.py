@@ -1,6 +1,7 @@
 """Verification suites: failure details and the package's import footprint."""
 from __future__ import annotations
 
+import dataclasses
 import random
 import subprocess
 import sys
@@ -11,12 +12,15 @@ from fractions import Fraction
 import pytest
 
 import coxfan
+import coxfan.polytope as P
 import coxfan.verify as V
 from coxfan.cartan import make_datum
 from coxfan.cli import main
 from coxfan.model import BipartiteOracle, build_model
-from coxfan.polytope import PolytopeError, default_f, random_valid_f
+from coxfan.polytope import default_f, random_valid_f
 from coxfan.weyl import WeylElement, all_coxeter_elements, coxeter_from_order
+
+from paper_constructions import simplicity_in_fractions
 
 A3 = make_datum("A3")
 C_A3 = coxeter_from_order(A3, (0, 1, 2))
@@ -137,13 +141,28 @@ def test_passing_polytope_details_are_unchanged():
 
 def test_polytope_failures_name_first_f(monkeypatch):
     third = f_texts()[2]
-    monkeypatch.setattr(V, "vertices", fail_from(3, PolytopeError("vertex is not simple"), V.vertices))
-    assert polytope_details()["vertices-simple"] == (False, f"first: {third}: vertex is not simple")
+    true_solve, solved = V.solve_vertices, []
+
+    def swap_first_two(model, hrep):
+        """The true vertices, except that from the third f on vertices 0 and 1 trade places."""
+        vrep = true_solve(model, hrep)
+        if len(solved) >= 2:
+            verts = list(vrep.vertices)
+            verts[0], verts[1] = verts[1], verts[0]
+            vrep = dataclasses.replace(vrep, vertices=tuple(verts))
+        solved.append((hrep, vrep))
+        return vrep
+
+    monkeypatch.setattr(V, "solve_vertices", swap_first_two)
+    ok, detail = polytope_details()["vertices-simple"]
+    hrep, vrep = solved[2]
+    assert not ok and detail == f"first: {third}: {simplicity_in_fractions(hrep, vrep)}"
+    assert detail.startswith(f"first: {third}: cluster {list(vrep.clusters[0])}, label ")
     monkeypatch.undo()
 
     problem = "support value of label 3 is 7, expected f(1)"
     monkeypatch.setattr(V, "verify_support_function",
-                        fail_from(3, [problem, "later"], V.verify_support_function))
+                        fail_from(3, (None, [problem, "later"]), V.verify_support_function))
     assert polytope_details()["support-function"] == (False, f"first: {third}: {problem}")
     monkeypatch.undo()
 
@@ -151,6 +170,20 @@ def test_polytope_failures_name_first_f(monkeypatch):
     monkeypatch.setattr(V, "check_polytopality", fail_from(3, violation, V.check_polytopality))
     assert polytope_details()["exchange-inequalities"] == (
         False, f"first: {third}: labels 1, 4: F(a) + F(b) = 3/2 <= 2 = max(F(a + b), F(a uplus b))")
+
+
+@pytest.mark.parametrize("label", ["B3", "F4", "A1xB2"])
+def test_polytope_suite_never_runs_the_fraction_vertex_check(label, monkeypatch):
+    d = make_datum(label)
+
+    def forbidden(*args):
+        raise AssertionError("Fraction vertex check called")
+
+    for module in (P, V):   # the suite may not hold either name, nor reach it through polytope
+        monkeypatch.setattr(module, "vertices", forbidden, raising=False)
+        monkeypatch.setattr(module, "check_simple", forbidden, raising=False)
+    rows = V.suite_polytope(d, coxeter_from_order(d, tuple(range(d.n))))
+    assert rows and all(r.ok for r in rows), [r for r in rows if not r.ok]
 
 
 def test_negative_control_fails_when_nothing_is_reported(monkeypatch):
