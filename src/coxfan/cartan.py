@@ -245,6 +245,22 @@ def reflect_weight(datum: CartanDatum, i: int, coords: tuple) -> tuple:
     return tuple(coords[k] - ci * datum.cartan[k][i] for k in range(datum.n))
 
 
+def reflect_along(datum: CartanDatum, letters, coords: tuple, reflect) -> tuple:
+    """s_{l_k} ... s_{l_1} applied to coords: the letters act first to last, each
+    through ``reflect`` (reflect_weight or reflect_root).  Along reversed(word)
+    this is the element of the word; along c's order it is c^{-1}."""
+    for i in letters:
+        coords = reflect(datum, i, coords)
+    return coords
+
+
+def unit_node(coords: tuple, sign: int = 1):
+    """k when coords = sign * e_k (a simple root or a fundamental weight, times sign), else None."""
+    if sum(coords) != sign or any(x not in (0, sign) for x in coords):
+        return None
+    return coords.index(sign)
+
+
 # --- root systems -------------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .cartan import CartanError, fmt_combo, make_datum
+from .cartan import fmt_combo, make_datum
 from .jsonout import write_json
 from .model import build_model
 from .mutation import exchange_graph, exchange_graph_json
@@ -215,8 +215,6 @@ def cmd_clusters(args, datum, c):
 def cmd_expand(args, datum, c):
     model = build_model(datum, c)
     point = tuple(int(x) for x in args.point.split(","))
-    if len(point) != datum.n:
-        raise CartanError("point has the wrong arity")
     expansion = model.expand_weight(point) if args.side == "weight" else model.expand_root(point)
     items = sorted(expansion.items())
     if args.format == "json":
@@ -350,6 +348,10 @@ def main(argv=None) -> int:
     cmd = COMMANDS[args.command]
     args.status = 0
     try:
+        # argparse drops a "--" value, so --point=-- arrives as an empty list
+        empty = next((name for name, value in vars(args).items() if value == []), None)
+        if empty is not None:
+            raise ValueError(f"--{empty.replace('_', '-')} needs a value")
         all_coxeter = getattr(args, "all_coxeter", False)
         if all_coxeter and args.coxeter is not None:
             raise ValueError("--all-coxeter and --coxeter exclude each other")

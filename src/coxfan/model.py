@@ -17,12 +17,22 @@ from operator import mul
 from .cartan import (
     CartanDatum,
     generate_roots,
+    reflect_along,
     reflect_root,
     reflect_weight,
+    unit_node,
     weight_to_root_int,
 )
 from .linalg import bareiss, identity_mat, vec_add
-from .weyl import CoxeterElement, coxeter_from_order, node_involution
+from .weyl import (
+    CoxeterElement,
+    bipartite_coxeter,
+    bipartition,
+    coxeter_from_order,
+    elementary_move,
+    node_involution,
+    word_to_element,
+)
 
 
 class ModelError(ValueError):
@@ -129,12 +139,10 @@ class ClusterModel:
 
         # phi_c(c^m omega_i) = c^(m-1) omega_i - c^m omega_i: the previous weight of the
         # orbit walk, and for m = 0 the weight c^-1 omega_i = s_on ... s_o1 omega_i.
+        basis = identity_mat(n)
         labels = []
-        for i in range(n):
-            w = tuple(1 if k == i else 0 for k in range(n))
-            prev = w
-            for s in c.order:
-                prev = reflect_weight(datum, s, prev)
+        for i, w in enumerate(basis):
+            prev = reflect_along(datum, c.order, w, reflect_weight)
             for m in range(h[i] + 1):
                 img = tuple(a - b for a, b in zip(prev, w))
                 k = first[i] + m
@@ -149,14 +157,9 @@ class ClusterModel:
         if len(labels) != roots.size + n:
             raise ModelError("label count differs from |Phi+| + n")
 
-        # Independent construction of the negative labels: beta_i^c from the word.
-        order = c.order
-        betas = {}
-        for k, i in enumerate(order):
-            b = tuple(1 if t == i else 0 for t in range(n))
-            for l in range(k + 1, n):
-                b = reflect_root(datum, order[l], b)
-            betas[i] = b
+        # Independent construction of the negative labels: beta_i^c = s_on ... s_o(k+1) alpha_ok.
+        betas = {i: reflect_along(datum, c.order[k + 1:], basis[i], reflect_root)
+                 for k, i in enumerate(c.order)}
         beta_roots = set(betas.values())
         sent_negative = {r for r in roots.positive_roots if all(x <= 0 for x in c.wel.apply_root(r))}
         if beta_roots != sent_negative:
@@ -498,18 +501,15 @@ def sigma_map(model: ClusterModel, i: int):
     Sends -beta_i^c to alpha_i and acts by s_i elsewhere.  Returns
     (target_model, mapping) with mapping[src_id] = dst_id.
     """
-    from .weyl import elementary_move, simple_reflection
-
     if i not in model.c.initial_nodes():
         raise ModelError(f"s{i + 1} is not initial in c")
     target = build_model(model.datum, elementary_move(model.c, i))
-    s = simple_reflection(model.datum, i)
     mapping = []
     for lab in model.labels:
         if lab.is_negative and lab.node == i:
             img = tuple(1 if k == i else 0 for k in range(model.n))
         else:
-            img = s.apply_root(lab.root)
+            img = reflect_root(model.datum, i, lab.root)
         mapping.append(target.id_by_root[img])
     return target, tuple(mapping)
 
@@ -544,8 +544,6 @@ class BipartiteOracle:
     def __init__(self, datum: CartanDatum):
         if len(datum.components) != 1:
             raise ModelError("the bipartite oracle requires a connected datum")
-        from .weyl import bipartition, bipartite_coxeter, word_to_element
-
         self.datum = datum
         self.n = datum.n
         self.plus, self.minus = bipartition(datum)
@@ -564,7 +562,7 @@ class BipartiteOracle:
         mat = self.t_plus if eps > 0 else self.t_minus
         perm = []
         for r in self.roots:
-            i = _neg_simple_node(r)
+            i = unit_node(r, -1)
             if i is not None and i in fixed:
                 perm.append(self.id_by_root[r])
             else:
@@ -580,7 +578,7 @@ class BipartiteOracle:
             x, y = a, b
             eps = start
             for _ in range(2 * (self.h + 2) + 2):
-                i = _neg_simple_node(self.roots[x])
+                i = unit_node(self.roots[x], -1)
                 if i is not None:
                     v = self.roots[y][i]
                     return v if v > 0 else 0
@@ -597,18 +595,6 @@ class BipartiteOracle:
         for r in self.roots:
             mapping.append(model.id_by_root[self.t_minus.apply_root(r)])
         return tuple(mapping)
-
-
-def _neg_simple_node(coords: tuple):
-    node = None
-    for k, x in enumerate(coords):
-        if x > 0 or x < -1:
-            return None
-        if x == -1:
-            if node is not None:
-                return None
-            node = k
-    return node
 
 
 # --- exact cone membership (for fan verification) ---------------------------------------

@@ -16,7 +16,7 @@ from .cartan import CartanDatum, fmt_combo
 from .jsonout import write_json
 from .linalg import solve_fraction_free, vec_dot
 from .model import ClusterList, ClusterModel
-from .weyl import singletons
+from .weyl import node_involution, singletons
 
 
 class PolytopeError(ValueError):
@@ -31,8 +31,6 @@ def f_conditions(datum: CartanDatum):
     Returns (equalities, rows) where each row r encodes sum_i r[i] f(i) > 0;
     the rows are those of A^T.
     """
-    from .weyl import node_involution
-
     istar = node_involution(datum)
     equalities = tuple(sorted((i, istar[i]) for i in range(datum.n) if i < istar[i]))
     rows = tuple(tuple(datum.cartan[i][j] for i in range(datum.n)) for j in range(datum.n))
@@ -93,8 +91,6 @@ def random_valid_f(datum: CartanDatum, rng) -> SupportData:
     sampling a positive i*-symmetric vector r and solving A^T f = r covers the
     whole admissible cone.
     """
-    from .weyl import node_involution
-
     istar = node_involution(datum)
     n = datum.n
     r = [None] * n

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cartan import CartanDatum, reflect_weight, weight_to_root
+from .cartan import CartanDatum, reflect_along, reflect_weight, unit_node, weight_to_root
 from .linalg import bareiss_det
 from .model import BipartiteOracle, ClusterModel, bar_map, build_model, cone_membership, iota_map, sigma_map
 from .mutation import exchange_graph, verify_exchange_relations
@@ -277,34 +277,19 @@ def compat_pi_independent(model: ClusterModel, a: int, b: int) -> int:
     y = model.labels[b].weight
 
     def tau_w(v):
-        node = _neg_fundamental(v)
-        if node is not None:
+        if unit_node(v, -1) is not None:
             return tuple(-t for t in v)
         return c.wel.apply_weight(v)
 
     for _ in range(model.tau_order + 1):
-        node = _fundamental(x)
+        node = unit_node(x)
         if node is not None:
-            cinv_y = y
-            for s in c.order:
-                cinv_y = reflect_weight(datum, s, cinv_y)
+            cinv_y = reflect_along(datum, c.order, y, reflect_weight)
             img = tuple(p - q for p, q in zip(cinv_y, y))
             val = weight_to_root(datum, img)[node]
             return int(val) if val > 0 else 0
         x, y = tau_w(x), tau_w(y)
     raise RuntimeError("weight-side walk never reached a fundamental weight")
-
-
-def _fundamental(v):
-    if sum(v) == 1 and all(t in (0, 1) for t in v):
-        return v.index(1)
-    return None
-
-
-def _neg_fundamental(v):
-    if sum(v) == -1 and all(t in (0, -1) for t in v):
-        return v.index(-1)
-    return None
 
 
 def _map_break(src, dst, mapping, pairs, taus=None, where=""):

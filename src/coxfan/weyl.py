@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cartan import CartanDatum, generate_roots, reflect_weight
+from .cartan import CartanDatum, generate_roots, reflect_along, reflect_root, reflect_weight, unit_node
 from .linalg import identity_mat, int_mat_inv, mat_mul, mat_vec
 
 
@@ -38,31 +38,25 @@ class WeylElement:
 
 @lru_cache(maxsize=None)
 def identity_element(datum: CartanDatum) -> WeylElement:
-    e = identity_mat(datum.n)
-    return WeylElement(datum, e, e)
+    return word_to_element(datum, ())
 
 
 @lru_cache(maxsize=None)
 def simple_reflection(datum: CartanDatum, i: int) -> WeylElement:
-    n = datum.n
-    if not 0 <= i < n:
-        raise WeylError(f"s{i + 1} is not a simple reflection of {datum.label}")
-    mw = tuple(
-        tuple((1 if k == j else 0) - (datum.cartan[k][i] if j == i else 0) for j in range(n))
-        for k in range(n)
-    )
-    mr = tuple(
-        tuple((1 if k == j else 0) - (datum.cartan[i][j] if k == i else 0) for j in range(n))
-        for k in range(n)
-    )
-    return WeylElement(datum, mw, mr)
+    return word_to_element(datum, (i,))
 
 
 def word_to_element(datum: CartanDatum, letters) -> WeylElement:
-    out = identity_element(datum)
-    for i in letters:
-        out = out * simple_reflection(datum, i)
-    return out
+    """The product of the word's simple reflections: column j of each matrix is
+    e_j reflected along the reversed word, in weight and in root coordinates."""
+    letters = tuple(letters)
+    bad = next((i for i in letters if not 0 <= i < datum.n), None)
+    if bad is not None:
+        raise WeylError(f"s{bad + 1} is not a simple reflection of {datum.label}")
+    rev, basis = letters[::-1], identity_mat(datum.n)
+    mw = tuple(zip(*(reflect_along(datum, rev, e, reflect_weight) for e in basis)))
+    mr = tuple(zip(*(reflect_along(datum, rev, e, reflect_root) for e in basis)))
+    return WeylElement(datum, mw, mr)
 
 
 def render_word(letters) -> str:
@@ -77,15 +71,8 @@ def longest_element(datum: CartanDatum) -> WeylElement:
 
 @lru_cache(maxsize=None)
 def longest_word(datum: CartanDatum) -> tuple:
-    """A reduced word for w0 via the descent walk from the dominant vector."""
-    n = datum.n
-    v = tuple(1 for _ in range(n))
-    picks = []
-    while any(x > 0 for x in v):
-        i = next(k for k in range(n) if v[k] > 0)
-        v = reflect_weight(datum, i, v)
-        picks.append(i)
-    word = tuple(reversed(picks))
+    """A reduced word for w0: the rho-sorting walk of w0 * rho = -rho."""
+    word = _sort_by_rho(datum, tuple(range(datum.n)), (-1,) * datum.n)[0]
     if len(word) != generate_roots(datum).size:
         raise WeylError("longest-element walk produced a non-reduced word")
     return word
@@ -93,17 +80,14 @@ def longest_word(datum: CartanDatum) -> tuple:
 
 @lru_cache(maxsize=None)
 def node_involution(datum: CartanDatum) -> tuple:
-    """i* with w0 * omega_i = -omega_{i*}, each omega_i walked down a reduced word of w0."""
-    n, word = datum.n, longest_word(datum)
+    """i* with w0 * omega_i = -omega_{i*}, each omega_i reflected along a reduced word of w0."""
+    word = longest_word(datum)[::-1]
     out = []
-    for i in range(n):
-        v = tuple(1 if k == i else 0 for k in range(n))
-        for j in reversed(word):
-            v = reflect_weight(datum, j, v)
-        col = tuple(-x for x in v)
-        if sum(col) != 1 or any(x not in (0, 1) for x in col):
+    for e in identity_mat(datum.n):
+        istar = unit_node(reflect_along(datum, word, e, reflect_weight), -1)
+        if istar is None:
             raise WeylError("w0 column is not minus a fundamental weight")
-        out.append(col.index(1))
+        out.append(istar)
     return tuple(out)
 
 

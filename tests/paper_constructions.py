@@ -3,8 +3,8 @@
 The spacing criterion of the compatibility degree (section 3), the
 conjugation of c to a bipartite element that fixes a leaf (section 4), the
 admissibility cone of f with f(i*) = f(i) folded in, the facets grouped
-by tau-orbit, and the support-function and simplicity checks done directly
-in Fractions.
+by tau-orbit, the support-function and simplicity checks done directly
+in Fractions, and the textbook matrices of the simple reflections.
 The library itself needs none of them, so they live here, next to the
 tests that assert them.
 """
@@ -16,7 +16,7 @@ from coxfan.cartan import CartanDatum
 from coxfan.linalg import vec_dot
 from coxfan.model import ClusterModel
 from coxfan.polytope import HRep, PolytopeError, SupportData, VRep, check_simple, f_conditions
-from coxfan.weyl import CoxeterElement, WeylError, bipartite_coxeter, elementary_move
+from coxfan.weyl import CoxeterElement, WeylElement, WeylError, bipartite_coxeter, elementary_move
 
 
 def primitive(v: tuple) -> tuple:
@@ -106,6 +106,31 @@ def simplicity_in_fractions(hrep: HRep, vrep: VRep):
                 except PolytopeError as exc:
                     return f"cluster {list(cl)}, label {k}: {exc}"
     return None
+
+
+def textbook_reflection(datum: CartanDatum, i: int) -> WeylElement:
+    """s_i as its two matrices written out: on weights it subtracts coordinate i
+    times column i of A, on roots it changes coordinate i by minus row i of A."""
+    n = datum.n
+    mw = tuple(
+        tuple((1 if k == j else 0) - (datum.cartan[k][i] if j == i else 0) for j in range(n))
+        for k in range(n)
+    )
+    mr = tuple(
+        tuple((1 if k == j else 0) - (datum.cartan[i][j] if k == i else 0) for j in range(n))
+        for k in range(n)
+    )
+    return WeylElement(datum, mw, mr)
+
+
+def textbook_word(datum: CartanDatum, letters) -> WeylElement:
+    """The product of the textbook reflection matrices along the word, left to right."""
+    n = datum.n
+    out = tuple(tuple(1 if k == j else 0 for j in range(n)) for k in range(n))
+    out = WeylElement(datum, out, out)
+    for i in letters:
+        out = out * textbook_reflection(datum, i)
+    return out
 
 
 def connect_coxeter(c: CoxeterElement, target: CoxeterElement, avoid=()) -> tuple:

@@ -11,9 +11,11 @@ from coxfan.cartan import (
     datum_from_matrix,
     generate_roots,
     make_datum,
+    reflect_along,
     reflect_root,
     reflect_weight,
     root_to_weight,
+    unit_node,
     weight_to_root,
     weight_to_root_int,
 )
@@ -114,6 +116,25 @@ def test_reflect_fixes_other_fundamental_weights():
             img = reflect_weight(d, i, v)
             if i != j:
                 assert img == v
+
+
+def test_reflect_along_applies_the_first_letter_first():
+    d = make_datum("A2")
+    v = (1, 0)
+    for reflect in (reflect_root, reflect_weight):
+        assert reflect_along(d, (), v, reflect) == v
+        assert reflect_along(d, (0, 1), v, reflect) == reflect(d, 1, reflect(d, 0, v))
+    assert reflect_along(d, (0, 1), v, reflect_weight) == (0, -1)   # s2 s1 omega_1 = -omega_2
+    assert reflect_along(d, (1, 0), v, reflect_weight) == (-1, 1)   # s1 s2 omega_1 = s1 omega_1
+
+
+def test_unit_node_reads_plus_or_minus_e_i():
+    assert unit_node((0, 1, 0)) == 1 and unit_node((0, -1, 0), -1) == 1
+    assert unit_node((1,)) == 0 and unit_node((-1,), -1) == 0
+    for coords in ((0, -1, 0), (0, 0, 0), (1, 1, -1), (0, 2, -1), (1, 0, 1)):
+        assert unit_node(coords) is None, coords
+    for coords in ((0, 1, 0), (0, 0, 0), (-1, -1, 1), (0, -2, 1)):
+        assert unit_node(coords, -1) is None, coords
 
 
 def test_reflect_is_involutive():

@@ -147,6 +147,20 @@ def test_expand_weight_side(capsys):
     assert out.strip() == "1*[w1]"
 
 
+def test_expand_point_of_the_wrong_length_exits_2_on_both_sides(capsys):
+    for side in ("root", "weight"):
+        code, out, err = run(capsys, "expand", "B3", "--point", "1,2", "--side", side)
+        assert (code, out) == (2, "")
+        assert err == "error: point (1, 2) does not have 3 coordinates\n"
+
+
+def test_an_option_given_as_a_bare_double_dash_exits_2(capsys):
+    for command, flag in (("expand", "--point"), ("polytope", "--f"), ("orbits", "--coxeter"),
+                          ("sorting-word", "--word")):
+        code, out, err = run(capsys, command, "A2", f"{flag}=--")
+        assert (code, out, err) == (2, "", f"error: {flag} needs a value\n")
+
+
 def test_sorting_word_json_schema(capsys):
     code, out, _ = run(capsys, "sorting-word", "A3", "--coxeter", "1,2,3",
                        "--word", "2,3,2", "--format", "json")

@@ -6,7 +6,16 @@ import random
 
 import pytest
 
-from coxfan.cartan import generate_roots, make_datum
+from coxfan.cartan import (
+    generate_roots,
+    make_datum,
+    reflect_along,
+    reflect_root,
+    reflect_weight,
+    weight_to_root_int,
+)
+from coxfan.linalg import identity_mat
+from coxfan.model import build_model
 from coxfan.weyl import (
     WeylElement,
     WeylError,
@@ -22,6 +31,7 @@ from coxfan.weyl import (
     is_antisortable,
     is_sortable,
     longest_element,
+    longest_word,
     node_involution,
     simple_reflection,
     render_word,
@@ -30,7 +40,7 @@ from coxfan.weyl import (
     word_to_element,
 )
 
-from paper_constructions import bipartite_via_leaf, connect_coxeter
+from paper_constructions import bipartite_via_leaf, connect_coxeter, textbook_reflection, textbook_word
 
 A3 = make_datum("A3")
 C = coxeter_from_order(A3, (0, 1, 2))
@@ -494,3 +504,65 @@ def test_simple_reflection_rejects_out_of_range_nodes():
     for i in (-1, 3):
         with pytest.raises(WeylError):
             simple_reflection(d, i)
+    for word, first in (((0, 3, 1), "s4"), ((-1,), "s0"), ((1, 4, 7), "s5")):
+        with pytest.raises(WeylError, match=f"^{first} is not a simple reflection of A3$"):
+            word_to_element(d, word)
+
+
+WORD_TYPES = ("A1", "A2", "A3", "A4", "B3", "C3", "D4", "D5", "E6", "E7", "E8", "F4", "G2", "A1xB2")
+
+# i* with w0 * omega_i = -omega_{i*} (Bourbaki numbering, 0-based): the diagram
+# automorphism on A_n, D_5 and E_6, the identity on every other type here.
+NODE_INVOLUTION = {
+    "A1": (0,), "A2": (1, 0), "A3": (2, 1, 0), "A4": (3, 2, 1, 0),
+    "D5": (0, 1, 2, 4, 3), "E6": (5, 1, 4, 3, 2, 0),
+}
+
+
+def same_element(w, v) -> bool:
+    """Equal in weight and in root coordinates (the root matrix takes no part in ==)."""
+    return w.mw == v.mw and w.mr == v.mr
+
+
+@pytest.mark.parametrize("label", WORD_TYPES)
+def test_word_to_element_is_the_product_of_textbook_reflections(label):
+    d = make_datum(label)
+    rng = random.Random(label)
+    for i in range(d.n):
+        assert same_element(simple_reflection(d, i), textbook_reflection(d, i))
+    assert same_element(identity_element(d), textbook_word(d, ()))
+    for _ in range(25):
+        word = tuple(rng.randrange(d.n) for _ in range(rng.randint(0, 3 * d.n)))
+        assert same_element(word_to_element(d, word), textbook_word(d, word)), word
+
+
+@pytest.mark.parametrize("label", WORD_TYPES)
+def test_longest_word_is_a_reduced_word_for_w0(label):
+    d = make_datum(label)
+    word = longest_word(d)
+    w0 = textbook_word(d, word)
+    assert len(word) == generate_roots(d).size == length(w0)          # reduced
+    assert all(sum(row) == -1 for row in w0.mw)                        # w0 * rho = -rho
+    assert same_element(longest_element(d), w0)
+    istar = NODE_INVOLUTION.get(label, tuple(range(d.n)))
+    assert node_involution(d) == istar
+    for i, j in enumerate(istar):                                      # w0 omega_i = -omega_{i*}
+        assert tuple(row[i] for row in w0.mw) == tuple(-(k == j) for k in range(d.n))
+
+
+@pytest.mark.parametrize("label", ("A3", "B3", "G2"))
+def test_reflection_words_act_as_c_inverse(label):
+    """c's order, applied first to last, is c^{-1}: c^{-1} omega_i and beta_i^c
+    against the inverse of c's textbook matrices, on every c."""
+    d = make_datum(label)
+    for c in all_coxeter_elements(d):
+        assert same_element(c.wel, textbook_word(d, c.order))
+        cinv = c.wel.inverse()
+        model = build_model(d, c)
+        for i, e in enumerate(identity_mat(d.n)):
+            lowered = cinv.apply_weight(e)
+            assert reflect_along(d, c.order, e, reflect_weight) == lowered, (c.order, i)
+            phi = weight_to_root_int(d, tuple(a - b for a, b in zip(lowered, e)))
+            assert model.labels[model.neg_id[i]].root == phi
+            assert model.beta[i] == tuple(-x for x in phi), (c.order, i)
+            assert reflect_along(d, c.order, e, reflect_root) == cinv.apply_root(e)
