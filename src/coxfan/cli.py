@@ -24,7 +24,6 @@ from .jsonout import write_json
 from .model import build_model
 from .mutation import exchange_graph, exchange_graph_json
 from .polytope import (
-    PolytopeError,
     SupportData,
     build_hrep,
     default_f,
@@ -36,7 +35,6 @@ from .polytope import (
 )
 from .verify import SUITES, run_suite
 from .weyl import (
-    WeylError,
     all_coxeter_elements,
     c_sorting_word,
     coxeter_from_order,
@@ -51,26 +49,38 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
+def _parse_list(text: str, what: str, number=int) -> tuple:
+    """The comma-separated numbers of ``text``, each read by ``number``.
+
+    This is the one reader of the CLI's number lists; whether the numbers fit
+    their command (a node, an admissible f, an integral point) is left to the
+    library.  Text that is not such a list raises ``ValueError`` naming
+    ``what``.
+    """
+    try:
+        if "e" in text.lower():   # Fraction("1e<k>") would build 10**k for any k
+            raise ValueError(text)
+        return tuple(number(x) for x in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse {what} {text!r}") from None
+
+
+def _exact(text: str):
+    """A rational read exactly: an int when it is integral, else a Fraction."""
+    x = Fraction(text)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _parse_coxeter(datum, text):
     if text is None:
         return coxeter_from_order(datum, tuple(range(datum.n)))
-    try:
-        order = tuple(int(x) - 1 for x in text.split(","))
-    except ValueError:
-        raise WeylError(f"cannot parse Coxeter order {text!r}")
-    return coxeter_from_order(datum, order)
+    return coxeter_from_order(datum, tuple(i - 1 for i in _parse_list(text, "Coxeter order")))
 
 
 def _parse_f(datum, text):
     if text is None or text == "default":
         return default_f(datum)
-    try:
-        if "e" in text.lower():   # Fraction("1e<k>") would build 10**k for any k
-            raise ValueError(text)
-        vals = tuple(Fraction(x) for x in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise PolytopeError(f"cannot parse f {text!r}")
-    return SupportData.make(datum, vals)
+    return SupportData.make(datum, _parse_list(text, "f", Fraction))
 
 
 def _write(doc, write) -> None:
@@ -214,7 +224,7 @@ def cmd_clusters(args, datum, c):
 
 def cmd_expand(args, datum, c):
     model = build_model(datum, c)
-    point = tuple(int(x) for x in args.point.split(","))
+    point = _parse_list(args.point, "point", _exact)   # the model rejects a non-integral one
     expansion = model.expand_weight(point) if args.side == "weight" else model.expand_root(point)
     items = sorted(expansion.items())
     if args.format == "json":
@@ -233,7 +243,7 @@ def cmd_expand(args, datum, c):
 
 
 def cmd_sorting_word(args, datum, c):
-    letters = tuple(int(x) - 1 for x in args.word.split(",")) if args.word else ()
+    letters = tuple(i - 1 for i in _parse_list(args.word, "word")) if args.word else ()
     w = word_to_element(datum, letters)
     word, blocks = c_sorting_word(c, w)
     sortable = is_sortable(c, w)

@@ -113,6 +113,8 @@ class ClusterModel:
         self._restrictions = {}
         self._expand_cache = {}
         self._uplus_cache = {}
+        self._exchange_rows = None
+        self._inverses = {}
 
     # --- construction ---------------------------------------------------------------
 
@@ -262,6 +264,48 @@ class ClusterModel:
                 flat.extend((c1, c2, (m1 & ~m2).bit_length() - 1, (m2 & ~m1).bit_length() - 1))
             self._adjacent = ClusterList(flat, 4)
         return self._adjacent
+
+    def cluster_inverses(self, side: str) -> ClusterList:
+        """The integer inverse of each cluster's basis on one side, "root" or "weight".
+
+        Item k is the inverse of the matrix whose columns are cluster k's labels,
+        row-major (n * n entries).  One Bareiss pass over the labels as rows
+        against the identity columns gives the rows of the adjugate of the
+        basis, and det = +-1 makes det times them the exact inverse: clusters
+        are Z-bases, and a cluster that is not raises ``ModelError`` naming it.
+        """
+        if side not in self._inverses:
+            flat = []
+            eye = identity_mat(self.n)
+            for cl in self.clusters():
+                det, rows = bareiss(tuple(getattr(self.labels[k], side) for k in cl), eye)
+                if det not in (1, -1):
+                    raise ModelError(f"cluster {list(cl)} has determinant {det}, not a Z-basis")
+                flat.extend(det * x for row in rows for x in row)
+            size = max(map(abs, flat), default=0) + 1
+            self._inverses[side] = ClusterList(array(_typecode(size, signed=True), flat), self.n * self.n)
+        return self._inverses[side]
+
+    def exchange_rows(self) -> ClusterList:
+        """Node counts of the expansions of a + b and of a uplus b, for each adjacent pair.
+
+        Items 2k and 2k + 1 belong to the k-th pair (c1, c2, a, b) of
+        ``adjacent_cluster_pairs``; count i sums the coefficients of the labels
+        at node i.  A support function F(x) = sum over the expansion of x of
+        coefficient * f(node) is then one integer dot product with f, so each
+        pair's expansions are read once however many f are checked.
+        """
+        if self._exchange_rows is None:
+            nodes = [lab.node for lab in self.labels]
+            flat = []
+            for _, _, a, b in self.adjacent_cluster_pairs():
+                for point in self.uplus(a, b):
+                    counts = [0] * self.n
+                    for idx, coeff in self.expand_root(point).items():
+                        counts[nodes[idx]] += coeff
+                    flat.extend(counts)
+            self._exchange_rows = ClusterList(array(_typecode(max(flat, default=0) + 1), flat), self.n)
+        return self._exchange_rows
 
     # --- restriction to sub-diagrams ----------------------------------------------------
 
@@ -417,9 +461,10 @@ class ClusterModel:
         }
 
 
-def _typecode(size: int) -> str:
-    """The narrowest unsigned array typecode that holds 0, ..., size - 1."""
-    return next(t for t in "BHIQ" if size <= 1 << 8 * array(t).itemsize)
+def _typecode(size: int, signed: bool = False) -> str:
+    """The narrowest array typecode that holds 0, ..., size - 1, and with ``signed``
+    also -(size - 1), ..., -1."""
+    return next(t for t in ("bhiq" if signed else "BHIQ") if size <= 1 << 8 * array(t).itemsize - signed)
 
 
 def _checked_point(n: int, p) -> tuple:
@@ -429,14 +474,19 @@ def _checked_point(n: int, p) -> tuple:
     except TypeError:   # 5, None: not a sequence at all
         raise ModelError(f"point {p} does not have {n} coordinates") from None
     if len(p) != n:
-        raise ModelError(f"point {p} does not have {n} coordinates")
+        raise ModelError(f"point {_point_text(p)} does not have {n} coordinates")
     try:
         q = tuple(map(int, p))
     except (TypeError, ValueError, OverflowError):   # 'a', nan, None, inf
         q = None
     if q != p:
-        raise ModelError(f"point {p} has a non-integral coordinate")
+        raise ModelError(f"point {_point_text(p)} has a non-integral coordinate")
     return q
+
+
+def _point_text(p: tuple) -> str:
+    """A point as it is written: (1, 3/2, -2)."""
+    return "(" + ", ".join(map(str, p)) + ")"
 
 
 def _recombine(model: ClusterModel, expansion: dict) -> tuple:
@@ -599,23 +649,6 @@ class BipartiteOracle:
 
 # --- exact cone membership (for fan verification) ---------------------------------------
 
-def cone_coefficient_matrices(model: ClusterModel):
-    """Integer inverse of each cluster's root-coordinate basis matrix.
-
-    Clusters are Z-bases (determinant +-1), so the inverses are integral and
-    cone membership reduces to integer sign checks.  One Bareiss pass over the
-    transpose (rows are labels) against the identity columns gives the rows of
-    the adjugate, and the inverse is det times it.
-    """
-    out = []
-    for cl in model.clusters():
-        det, rows = bareiss(tuple(model.labels[k].root for k in cl), identity_mat(model.n))
-        if det not in (1, -1):
-            raise ModelError(f"cluster {list(cl)} has determinant {det}, not a Z-basis")
-        out.append(tuple(tuple(det * x for x in row) for row in rows))
-    return out
-
-
 def cone_membership(model: ClusterModel, points):
     """For each point, the closed cluster cones that contain it.
 
@@ -625,7 +658,8 @@ def cone_membership(model: ClusterModel, points):
     the answer is exact for points of any size; a cluster is dropped at its
     first negative coefficient.
     """
-    inverses = cone_coefficient_matrices(model)
+    n = model.n
+    inverses = [tuple(zip(*[iter(inv)] * n)) for inv in model.cluster_inverses("root")]
     out = []
     for p in points:
         p = _checked_point(model.n, p)

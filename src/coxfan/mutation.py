@@ -6,7 +6,10 @@ for the g-vector parametrization and the exchange-relation formula.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .cartan import CartanDatum
 from .linalg import identity_mat
@@ -24,13 +27,76 @@ _SEED_CAP = 5000      # a seed walk gives up after finding this many seeds (E7 h
 
 # --- exact Laurent polynomials over Z ---------------------------------------------------
 
-class LaurentPoly:
-    """Sparse Laurent polynomial: exponent tuple -> integer coefficient."""
+# A monomial x^e is stored as the one integer sum_i e_i * 2^(_WIDTH * (n - 1 - i)): the
+# Kronecker substitution x_i -> t^(2^(_WIDTH * (n - 1 - i))).  The map is linear, so a
+# product of monomials is one integer addition, and on exponents with |e_i| <= _LIMIT
+# it is injective and keeps the lex order (the first variable is the most significant
+# field), so a polynomial's lex-leading monomial is the largest key.  Every polynomial
+# carries an upper bound on |e_i| over its terms; a product or a quotient whose bound
+# could pass _LIMIT raises, so a field never wraps into its neighbour.
+_WIDTH = 16                 # bits per exponent field: one array("H") item
+_RADIX = 1 << _WIDTH
+_HALF = _RADIX >> 1
+_LIMIT = _HALF - 1
 
-    __slots__ = ("terms",)
+
+def _pack(exps) -> int:
+    key = 0
+    for x in exps:
+        key = key * _RADIX + x
+    return key
+
+
+def _fields(keys, n: int) -> array:
+    """The exponents of packed monomials in n fields, each offset by 2^(_WIDTH - 1)
+    into [0, 2^_WIDTH): n items per key, its last variable first.
+
+    A key whose exponents do not fit n fields of [-2^(_WIDTH - 1), 2^(_WIDTH - 1))
+    raises.  Each key is read through its bytes, one array("H") item per field.
+    """
+    offset = _HALF * ((_RADIX ** n - 1) // (_RADIX - 1))
+    try:
+        out = array("H", b"".join((k + offset).to_bytes(2 * n, "little") for k in keys))
+    except OverflowError:   # a negative or too large offset key
+        raise MutationError(f"a packed monomial does not fit {n} exponent fields") from None
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def _exponents(keys, n: int) -> list:
+    """The exponent tuple of each packed monomial in n fields."""
+    fields = _fields(keys, n)
+    return [tuple(x - _HALF for x in reversed(fields[k:k + n])) for k in range(0, len(fields), n)]
+
+
+def _checked_bound(bound: int) -> int:
+    if bound > _LIMIT:
+        raise MutationError(f"a Laurent exponent may exceed {_LIMIT} in absolute value")
+    return bound
+
+
+class LaurentPoly:
+    """Sparse Laurent polynomial over Z in n variables: packed monomial -> integer coefficient.
+
+    The constructor, ``monomial`` and ``one`` take exponent tuples; ``terms`` is
+    keyed by packed monomials, and ``exponent_terms`` reads the tuples back.
+    """
+
+    __slots__ = ("terms", "n", "bound")
 
     def __init__(self, terms=None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+        terms = terms or {}
+        self.n = len(next(iter(terms), ()))
+        self.bound = _checked_bound(max((abs(x) for e in terms for x in e), default=0))
+        self.terms = {_pack(e): c for e, c in terms.items() if c}
+
+    @staticmethod
+    def _packed(terms: dict, n: int, bound: int) -> "LaurentPoly":
+        """A polynomial from packed terms with nonzero coefficients, |exponent| <= bound."""
+        p = object.__new__(LaurentPoly)
+        p.terms, p.n, p.bound = terms, n, bound
+        return p
 
     @staticmethod
     def monomial(exps, coeff=1) -> "LaurentPoly":
@@ -38,7 +104,7 @@ class LaurentPoly:
 
     @staticmethod
     def one(n: int) -> "LaurentPoly":
-        return LaurentPoly({(0,) * n: 1})
+        return LaurentPoly._packed({0: 1}, n, 0)
 
     def __bool__(self):
         return bool(self.terms)
@@ -49,30 +115,51 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+            c = out.get(e, 0) + sign * c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return LaurentPoly._packed(out, max(self.n, other.n), max(self.bound, other.bound))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        bound = _checked_bound(self.bound + other.bound)
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:   # a monomial times a polynomial: shift every key
+            (e1, c1), = a.items()
+            out = {e1 + e2: c1 * c2 for e2, c2 in b.items()}
+        else:
+            out = {}
+            get = out.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    out[e] = get(e, 0) + c1 * c2
+            if 0 in out.values():
+                out = {e: c for e, c in out.items() if c}
+        return LaurentPoly._packed(out, max(self.n, other.n), bound)
 
     def key(self):
         return tuple(sorted(self.terms.items()))
 
+    def exponent_terms(self) -> list:
+        """(exponent tuple, coefficient) for every term, in increasing lex order."""
+        keys = sorted(self.terms)
+        return list(zip(_exponents(keys, self.n), map(self.terms.__getitem__, keys)))
+
     def leading(self):
+        """The lex-leading term as (packed monomial, coefficient): the largest key."""
         e = max(self.terms)
         return e, self.terms[e]
 
@@ -80,7 +167,7 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
+        for e, c in reversed(self.exponent_terms()):
             mono = "*".join(
                 f"x{i + 1}" + (f"^{p}" if p != 1 else "")
                 for i, p in enumerate(e) if p
@@ -99,27 +186,52 @@ class LaurentPoly:
 def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """p / q when the quotient is again Laurent with integer coefficients.
 
-    Classic leading-term elimination in the lex order; any failure here is a
-    Laurent-phenomenon violation, which the callers treat as fatal.
+    Leading-term elimination on the packed monomials, which is division of the
+    Kronecker images in Z[t, 1/t].  One remainder dict is updated in place,
+    with a heap of its keys: every key a step adds lies below the term it
+    cancels, so the largest live key is always the next leading term.  An
+    exact quotient never reaches below t^(min p - min q).  The image quotient
+    is certified by its own exponents: when its bound plus q's is within
+    _LIMIT, every exponent of quotient * q, like every exponent of p, lies
+    where the substitution is injective, so quotient * q = p holds for the
+    Laurent polynomials themselves.  Any failure is a Laurent-phenomenon
+    violation, which the callers treat as fatal.
     """
     if not q:
         raise MutationError("division by zero polynomial")
     qe, qc = q.leading()
-    rem = LaurentPoly(dict(p.terms))
+    rest = tuple((f, d) for f, d in q.terms.items() if f != qe)
+    rem = dict(p.terms)
+    floor = min(rem) - min(q.terms) if rem else 0
+    heap = [-k for k in rem]    # heapq is a min-heap: keys negated
+    heapify(heap)
     quot = {}
-    steps = 0
-    while rem:
-        re, rc = rem.leading()
-        if rc % qc:
+    get = rem.get
+    while heap:
+        re = -heappop(heap)
+        rc = rem.pop(re)
+        if not rc:
+            continue
+        c, r = divmod(rc, qc)
+        if r:
             raise MutationError("division is not exact over the integers")
-        e = tuple(a - b for a, b in zip(re, qe))
-        c = rc // qc
-        quot[e] = quot.get(e, 0) + c
-        rem = rem - LaurentPoly({e: c}) * q
-        steps += 1
-        if steps > _DIV_STEPS:
+        e = re - qe
+        if e < floor or len(quot) >= _DIV_STEPS:
             raise MutationError("division does not terminate; quotient is not Laurent")
-    return LaurentPoly(quot)
+        quot[e] = c
+        for f, d in rest:
+            k = e + f
+            x = get(k)
+            if x is None:
+                rem[k] = -c * d
+                heappush(heap, -k)
+            else:
+                rem[k] = x - c * d
+    n = max(p.n, q.n)
+    fields = _fields(quot, n)
+    bound = max(max(fields) - _HALF, _HALF - min(fields)) if fields else 0
+    _checked_bound(bound + q.bound)   # p's own bound was checked when p was made
+    return LaurentPoly._packed(quot, n, bound)
 
 
 # --- exchange matrices and seeds ---------------------------------------------------------
@@ -144,21 +256,26 @@ def b_of_coxeter(datum: CartanDatum, c: CoxeterElement) -> tuple:
 
 
 def _mutate_rect(mat, k, top):
-    """Matrix mutation in direction k; rows beyond the square block are coefficient rows."""
-    rows = len(mat)
-    n = len(mat[0])
-    out = [[0] * n for _ in range(rows)]
-    for i in range(rows):
-        for j in range(n):
-            if i == k or j == k:
-                out[i][j] = -mat[i][j]
-            else:
-                bik = mat[i][k]
-                bkj = top[k][j]
-                pos = (bik if bik > 0 else 0) * (bkj if bkj > 0 else 0)
-                neg = (-bik if bik < 0 else 0) * (-bkj if bkj < 0 else 0)
-                out[i][j] = mat[i][j] + pos - neg
-    return tuple(tuple(r) for r in out)
+    """Matrix mutation in direction k; rows beyond the square block are coefficient rows.
+
+    Row and column k change sign; b_ij (i, j != k) gains |b_ik| b_kj when b_ik
+    and b_kj have the same sign, and is kept otherwise.
+    """
+    rowk = top[k]
+    out = []
+    for i, row in enumerate(mat):
+        if i == k:
+            out.append(tuple(-x for x in row))
+            continue
+        bik = row[k]
+        new = list(row)
+        new[k] = -bik
+        if bik:
+            for j, bkj in enumerate(rowk):
+                if j != k and (bik > 0 < bkj or bik < 0 > bkj):
+                    new[j] += abs(bik) * bkj
+        out.append(tuple(new))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -197,15 +314,11 @@ def mutate(seed: Seed, k: int, b0: tuple) -> Seed:
     n = len(seed.bmat)
     b, cm, g = seed.bmat, seed.cmat, seed.gcols
     nvars = n + len(seed.frozen)
-    num_plus = LaurentPoly.one(nvars)
-    num_minus = LaurentPoly.one(nvars)
+    plus, minus = [], []
     for var, row in zip(seed.cluster + seed.frozen, b + cm):
         bik = row[k]
-        if bik > 0:
-            num_plus = num_plus * _power(var, bik, nvars)
-        elif bik < 0:
-            num_minus = num_minus * _power(var, -bik, nvars)
-    new_var = exact_div(num_plus + num_minus, seed.cluster[k])
+        (plus if bik > 0 else minus).extend([var] * abs(bik))
+    new_var = exact_div(_product(plus, nvars) + _product(minus, nvars), seed.cluster[k])
 
     gk = [0] * n
     for i in range(n):
@@ -254,9 +367,12 @@ def _seed_walk(seeds: list, b0: tuple):
         frontier = nxt
 
 
-def _power(p: LaurentPoly, e: int, n: int) -> LaurentPoly:
-    out = LaurentPoly.one(n)
-    for _ in range(e):
+def _product(factors: list, n: int) -> LaurentPoly:
+    """The product of the factors, 1 in n variables when there are none."""
+    if not factors:
+        return LaurentPoly.one(n)
+    out = factors[0]
+    for p in factors[1:]:
         out = out * p
     return out
 
@@ -296,10 +412,10 @@ def exchange_graph(datum: CartanDatum, c: CoxeterElement) -> ExchangeGraph:
 
 def cluster_monomial(graph: ExchangeGraph, model: ClusterModel, root_point: tuple) -> LaurentPoly:
     """x_gamma: product of variables over the c-cluster expansion of a root point."""
-    out = LaurentPoly.one(graph.datum.n)
+    factors = []
     for idx, coeff in model.expand_root(root_point).items():
-        out = out * _power(graph.variables[model.labels[idx].weight], coeff, graph.datum.n)
-    return out
+        factors.extend([graph.variables[model.labels[idx].weight]] * coeff)
+    return _product(factors, graph.datum.n)
 
 
 def verify_exchange_relations(graph: ExchangeGraph, model: ClusterModel) -> list:
@@ -341,7 +457,7 @@ def exchange_graph_json(graph: ExchangeGraph) -> dict:
         ],
         "variables": [
             {"g": list(g), "terms": [{"exponents": list(e), "coeff": c}
-                                      for e, c in sorted(p.terms.items())]}
+                                      for e, c in p.exponent_terms()]}
             for g, p in sorted(graph.variables.items())
         ],
     }
@@ -362,7 +478,7 @@ def verify_g_vectors_principal(datum: CartanDatum, c: CoxeterElement) -> int:
 
     def grade(poly: LaurentPoly):
         degs = {tuple(e[t] - sum(e[n + j] * b0[t][j] for j in range(n)) for t in range(n))
-                for e in poly.terms}
+                for e, _ in poly.exponent_terms()}
         if len(degs) != 1:
             raise MutationError("principal-coefficient variable is not homogeneous")
         return degs.pop()

@@ -125,9 +125,10 @@ class HRep:
 
 @dataclass(frozen=True)
 class VRep:
-    vertices: tuple      # Fraction tuples
+    vertices: tuple      # Fraction tuples; with den > 1, integer tuples of den times the vertex
     clusters: ClusterList  # defining cluster (label ids) per vertex
     edges: ClusterList     # index pairs into vertices
+    den: int = 1         # > 1 only from cluster_vertices: a multiple of f's denominators
 
 
 def build_hrep(model: ClusterModel, f: SupportData) -> HRep:
@@ -169,6 +170,25 @@ def solve_vertices(model: ClusterModel, hrep: HRep) -> VRep:
     return VRep(tuple(verts), model.clusters(), ClusterList(edges, 2))
 
 
+def cluster_vertices(model: ClusterModel, f: SupportData) -> VRep:
+    """One vertex per cluster for f, as integers over den, the lcm of f's denominators.
+
+    The vertex z of a cluster solves <lambda_k, z> = f(i_k) on its labels
+    lambda_k, so den * z = sum_k den * f(i_k) * (row k of the inverse of the
+    cluster's weight basis): one integer matrix-vector product per cluster
+    against the model's certified inverses.  The VRep has no edges.
+    """
+    den = lcm(*(x.denominator for x in f.values))
+    scaled = [x.numerator * (den // x.denominator) for x in f.values]
+    rhs_of = [scaled[lab.node] for lab in model.labels]
+    n = model.n
+    verts = []
+    for cl, inv in zip(model.clusters(), model.cluster_inverses("weight")):
+        rhs = [rhs_of[k] for k in cl]
+        verts.append(tuple(sum(map(mul, inv[i::n], rhs)) for i in range(n)))
+    return VRep(tuple(verts), model.clusters(), (), den)
+
+
 def check_simple(hrep: HRep, vrep: VRep) -> None:
     """Raise unless each vertex is tight on its cluster's facets and strictly inside the rest.
 
@@ -189,16 +209,21 @@ def check_simple(hrep: HRep, vrep: VRep) -> None:
 def verify_support_function(model: ClusterModel, f: SupportData, vrep: VRep) -> tuple:
     """Simplicity and the support function, decided from one set of (label, vertex) values.
 
-    The vertices and f are scaled by the lcm of all their denominators, so
-    each pairing is one integer dot product.  Returns ``(witness, problems)``:
+    The vertices and f are scaled by a common denominator, the lcm of all
+    their denominators or the ``den`` of integer vertices from
+    ``cluster_vertices``, so each pairing is one integer dot product.
+    Returns ``(witness, problems)``:
     ``witness`` is None when every vertex is tight on its cluster's labels and
     strictly below f on the rest, else it names the first vertex (by its
     cluster) and label that break this, in ``check_simple``'s order;
     ``problems`` names each label whose max_v <v, lambda> is not f(i) or whose
     maximizers are not exactly the clusters containing it.
     """
-    den = lcm(*(x.denominator for v in vrep.vertices for x in v), *(x.denominator for x in f.values))
-    verts = [tuple(x.numerator * (den // x.denominator) for x in v) for v in vrep.vertices]
+    if vrep.den == 1:
+        den = lcm(*(x.denominator for v in vrep.vertices for x in v), *(x.denominator for x in f.values))
+        verts = [tuple(x.numerator * (den // x.denominator) for x in v) for v in vrep.vertices]
+    else:
+        den, verts = vrep.den, vrep.vertices
     targets = [x.numerator * (den // x.denominator) for x in f.values]
     containing = [set() for _ in model.labels]
     for k, cl in enumerate(vrep.clusters):
@@ -232,22 +257,23 @@ def check_polytopality(model: ClusterModel, f_values) -> list:
     """Strictness report for the exchange inequalities; runs on raw f on purpose.
 
     For every adjacent cluster pair with exchanged labels a, g the inequality
-    F(a) + F(g) > max(F(a+g), F(a uplus g)) is evaluated through expansions;
-    the returned list of violations is empty exactly when f supports a polytope.
+    F(a) + F(g) > max(F(a+g), F(a uplus g)) is evaluated, each F as one
+    integer dot product of f, scaled by its common denominator, with the
+    pair's node counts from ``model.exchange_rows``; the returned list of
+    violations (a, g, lhs, rhs), with lhs and rhs as Fractions, is empty
+    exactly when f supports a polytope.
     """
     vals = tuple(Fraction(v) for v in f_values)
-
-    def F(point):
-        return sum(coeff * vals[model.labels[idx].node]
-                   for idx, coeff in model.expand_root(point).items())
-
+    den = lcm(*(x.denominator for x in vals))
+    scaled = [x.numerator * (den // x.denominator) for x in vals]
+    nodes = [lab.node for lab in model.labels]
+    rows = iter(model.exchange_rows())
     violations = []
-    for (c1, c2, a, b) in model.adjacent_cluster_pairs():
-        s, u = model.uplus(a, b)
-        lhs = vals[model.labels[a].node] + vals[model.labels[b].node]
-        rhs = max(F(s), F(u))
+    for (_, _, a, b), s_row, u_row in zip(model.adjacent_cluster_pairs(), rows, rows):
+        lhs = scaled[nodes[a]] + scaled[nodes[b]]
+        rhs = max(sum(map(mul, s_row, scaled)), sum(map(mul, u_row, scaled)))
         if lhs <= rhs:
-            violations.append((a, b, lhs, rhs))
+            violations.append((a, b, Fraction(lhs, den), Fraction(rhs, den)))
     return violations
 
 

@@ -14,13 +14,12 @@ from .linalg import bareiss_det
 from .model import BipartiteOracle, ClusterModel, bar_map, build_model, cone_membership, iota_map, sigma_map
 from .mutation import exchange_graph, verify_exchange_relations
 from .polytope import (
-    build_hrep,
     cambrian_rays,
     check_polytopality,
+    cluster_vertices,
     default_f,
     polytopes_equal,
     random_valid_f,
-    solve_vertices,
     verify_support_function,
     violated_condition,
 )
@@ -134,8 +133,9 @@ def suite_fan(datum: CartanDatum, c: CoxeterElement, points: int = 1000, seed: i
 def suite_polytope(datum: CartanDatum, c: CoxeterElement, random_fs: int = 20, seed: int = 0) -> list:
     """Simple vertices, support function and strict exchange inequalities for each f.
 
-    Each f's vertices are solved once, and one scaled-integer pass over the
-    (label, vertex) values decides both simplicity and the support function;
+    Each f's vertices are integer products with the clusters' inverses, made
+    once per model, and one scaled-integer pass over the (label, vertex)
+    values decides both simplicity and the support function;
     an f whose vertices are not simple is not checked further.  A failed check
     names its first f, with the cluster and label, the label or the exchanged
     label pair that breaks it.
@@ -146,7 +146,7 @@ def suite_polytope(datum: CartanDatum, c: CoxeterElement, random_fs: int = 20, s
     first = {}   # check name -> its first witness
     for f in fs:
         f_text = "f=" + ",".join(str(x) for x in f.values)
-        not_simple, problems = verify_support_function(model, f, solve_vertices(model, build_hrep(model, f)))
+        not_simple, problems = verify_support_function(model, f, cluster_vertices(model, f))
         if not_simple:
             first.setdefault("vertices-simple", f"{f_text}: {not_simple}")
             continue

@@ -4,12 +4,15 @@ The spacing criterion of the compatibility degree (section 3), the
 conjugation of c to a bipartite element that fixes a leaf (section 4), the
 admissibility cone of f with f(i*) = f(i) folded in, the facets grouped
 by tau-orbit, the support-function and simplicity checks done directly
-in Fractions, and the textbook matrices of the simple reflections.
+in Fractions, the exchange inequalities evaluated F by expansion, the
+textbook matrices of the simple reflections, and the tuple-keyed Laurent
+arithmetic that the packed ``mutation.LaurentPoly`` must agree with.
 The library itself needs none of them, so they live here, next to the
 tests that assert them.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from coxfan.cartan import CartanDatum
@@ -182,3 +185,112 @@ def bipartite_via_leaf(c: CoxeterElement, leaf: int) -> tuple:
             word = connect_coxeter(t, c, avoid=(leaf, mate))
             return t, word
     raise WeylError("no bipartite element matches the leaf order")
+
+
+def polytopality_by_expansion(model: ClusterModel, f_values) -> list:
+    """``polytope.check_polytopality`` with each F summed in Fractions over the expansion
+    of its point, per f: the reference for the cached integer exchange rows."""
+    vals = tuple(Fraction(v) for v in f_values)
+
+    def F(point):
+        return sum(coeff * vals[model.labels[idx].node]
+                   for idx, coeff in model.expand_root(point).items())
+
+    violations = []
+    for (c1, c2, a, b) in model.adjacent_cluster_pairs():
+        s, u = model.uplus(a, b)
+        lhs = vals[model.labels[a].node] + vals[model.labels[b].node]
+        rhs = max(F(s), F(u))
+        if lhs <= rhs:
+            violations.append((a, b, lhs, rhs))
+    return violations
+
+
+class TupleLaurent:
+    """Sparse Laurent polynomial keyed by exponent tuples: the reference for the packed
+    ``mutation.LaurentPoly``, with the same methods on unpacked monomials."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {e: c for e, c in (terms or {}).items() if c}
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, TupleLaurent) and self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return TupleLaurent(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) - c
+        return TupleLaurent(out)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return TupleLaurent(out)
+
+    def key(self):
+        return tuple(sorted(self.terms.items()))
+
+    def leading(self):
+        e = max(self.terms)
+        return e, self.terms[e]
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for e, c in sorted(self.terms.items(), reverse=True):
+            mono = "*".join(
+                f"x{i + 1}" + (f"^{p}" if p != 1 else "")
+                for i, p in enumerate(e) if p
+            )
+            if not mono:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+
+def tuple_exact_div(p: TupleLaurent, q: TupleLaurent, max_steps: int = 100000) -> TupleLaurent:
+    """p / q by leading-term elimination in the lex order, rebuilding the remainder
+    at every step; raises ValueError when the quotient is not Laurent over Z.
+
+    The lex order is a group order on exponents, so an exact quotient's lowest
+    term is min p - min q; a quotient term below it ends the division early.
+    """
+    if not q:
+        raise ValueError("division by zero polynomial")
+    qe, qc = q.leading()
+    rem = TupleLaurent(dict(p.terms))
+    floor = tuple(a - b for a, b in zip(min(p.terms), min(q.terms))) if p else None
+    quot = {}
+    steps = 0
+    while rem:
+        re, rc = rem.leading()
+        if rc % qc:
+            raise ValueError("division is not exact over the integers")
+        e = tuple(a - b for a, b in zip(re, qe))
+        if e < floor or steps >= max_steps:
+            raise ValueError("division does not terminate; quotient is not Laurent")
+        c = rc // qc
+        quot[e] = quot.get(e, 0) + c
+        rem = rem - TupleLaurent({e: c}) * q
+        steps += 1
+    return TupleLaurent(quot)

@@ -154,6 +154,28 @@ def test_expand_point_of_the_wrong_length_exits_2_on_both_sides(capsys):
         assert err == "error: point (1, 2) does not have 3 coordinates\n"
 
 
+def test_a_non_integral_point_exits_2_with_the_model_message(capsys):
+    for side in ("root", "weight"):
+        for point, shown in (("1.5,2", "(3/2, 2)"), ("3/2,2", "(3/2, 2)"), ("0,-1/3", "(0, -1/3)")):
+            code, out, err = run(capsys, "expand", "A2", f"--point={point}", "--side", side)
+            assert (code, out, err) == (2, "", f"error: point {shown} has a non-integral coordinate\n")
+    # a rational that is an integer is that integer
+    assert run(capsys, "expand", "A2", "--point", "4/2,2.0") == run(capsys, "expand", "A2", "--point", "2,2")
+
+
+def test_number_lists_that_do_not_parse_exit_2_with_one_line(capsys):
+    for argv, what, text in ((("sorting-word", "A2", "--word", "1,x"), "word", "1,x"),
+                             (("sorting-word", "A2", "--word", "1.5"), "word", "1.5"),
+                             (("expand", "A2", "--point", "1,x"), "point", "1,x"),
+                             (("expand", "A2", "--point", "1e3,2"), "point", "1e3,2"),
+                             (("expand", "A2", "--point", "1/0,2"), "point", "1/0,2"),
+                             (("orbits", "A2", "--coxeter", "1,x"), "Coxeter order", "1,x"),
+                             (("polytope", "A2", "--f", "1,x"), "f", "1,x")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: cannot parse {what} {text!r}\n")
+        assert "invalid literal" not in err
+
+
 def test_an_option_given_as_a_bare_double_dash_exits_2(capsys):
     for command, flag in (("expand", "--point"), ("polytope", "--f"), ("orbits", "--coxeter"),
                           ("sorting-word", "--word")):

@@ -22,7 +22,6 @@ from coxfan.model import (
     ModelError,
     bar_map,
     build_model,
-    cone_coefficient_matrices,
     cone_membership,
     iota_map,
     sigma_map,
@@ -421,6 +420,11 @@ def test_expansion_agrees_with_cone_solution():
             assert got == want
 
 
+def inverse_matrices(model, side):
+    """model.cluster_inverses(side) with each flat row-major inverse as a tuple of rows."""
+    return [tuple(zip(*[iter(inv)] * model.n)) for inv in model.cluster_inverses(side)]
+
+
 CONE_TYPES = ("A1", "A2", "A3", "B2", "C3", "G2", "A4", "D4", "F4", "B4", "D5", "E6", "E7", "E8")
 
 
@@ -435,7 +439,7 @@ def test_cone_inverses_match_the_gauss_jordan_inverse(label, monkeypatch):
 
     for module in (linalg, model_module):
         monkeypatch.setattr(module, "int_mat_inv", refuse, raising=False)
-    inverses = cone_coefficient_matrices(m)
+    inverses = inverse_matrices(m, "root")
     monkeypatch.undo()
     assert len(inverses) == len(clusters)
     eye = identity_mat(d.n)
@@ -455,7 +459,17 @@ def test_cone_inverses_refuse_a_basis_that_is_not_unimodular(monkeypatch):
     doubled = dataclasses.replace(m.labels[0], root=tuple(2 * x for x in m.labels[0].root))
     monkeypatch.setattr(m, "labels", (doubled,) + m.labels[1:])
     with pytest.raises(ModelError, match=re.escape(f"cluster {list(first)} has determinant ")):
-        cone_coefficient_matrices(m)
+        m.cluster_inverses("root")
+
+
+def test_weight_inverses_refuse_a_doubled_weight_label(monkeypatch):
+    m = ClusterModel(A3, coxeter_from_order(A3, (0, 1, 2)))
+    first = next(cl for cl in m.clusters() if 0 in cl)
+    doubled = dataclasses.replace(m.labels[0], weight=tuple(2 * x for x in m.labels[0].weight))
+    monkeypatch.setattr(m, "labels", (doubled,) + m.labels[1:])
+    with pytest.raises(ModelError, match=re.escape(f"cluster {list(first)} has determinant ") + r"-?2, "):
+        m.cluster_inverses("weight")
+    m.cluster_inverses("root")     # the root side is untouched
 
 
 def test_cone_membership_is_exact_past_int64():

@@ -6,7 +6,10 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from coxfan import mutation
 from coxfan.cartan import make_datum
 from coxfan.cli import main
 from coxfan.model import ClusterModel, build_model
@@ -23,6 +26,8 @@ from coxfan.mutation import (
     verify_g_vectors_principal,
 )
 from coxfan.weyl import all_coxeter_elements, coxeter_from_order
+
+from paper_constructions import TupleLaurent, tuple_exact_div
 
 A2 = make_datum("A2")
 CA2 = coxeter_from_order(A2, (0, 1))
@@ -51,6 +56,77 @@ def test_exact_div():
         exact_div(x + one, LaurentPoly.monomial((0,), 2))
     with pytest.raises(MutationError):
         exact_div(x * x + one, x + one)
+
+
+@st.composite
+def laurent_terms(draw, n, size=5):
+    """Up to ``size`` terms in n variables, exponents in [-6, 6], nonzero coefficients."""
+    exps = st.tuples(*[st.integers(-6, 6)] * n)
+    coeffs = st.integers(-4, 4).filter(bool)
+    return draw(st.dictionaries(exps, coeffs, min_size=1, max_size=size))
+
+
+def agrees(packed, ref) -> bool:
+    return packed.exponent_terms() == sorted(ref.terms.items())
+
+
+def raises_mutation_error(call) -> bool:
+    try:
+        call()
+    except MutationError:
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_packed_laurent_agrees_with_the_tuple_reference(data, n):
+    terms = [data.draw(laurent_terms(n)) for _ in range(3)]
+    (p, q, r), (rp, rq, rr) = [LaurentPoly(t) for t in terms], [TupleLaurent(t) for t in terms]
+    for packed, ref in ((p, rp), (p + q, rp + rq), (p - q, rp - rq), (p - p, rp - rp),
+                        (p * q, rp * rq), (p * q * r, rp * rq * rr), ((p + q) * r, (rp + rq) * rr)):
+        assert agrees(packed, ref)
+        assert packed.render() == ref.render()
+        if ref:
+            e, c = packed.leading()
+            assert (mutation._exponents([e], n)[0], c) == ref.leading()
+    # the seed key orders polynomials as the reference key does
+    polys, refs = (p, q, r, p * q, q - r), (rp, rq, rr, rp * rq, rq - rr)
+    assert (sorted(range(5), key=lambda k: polys[k].key())
+            == sorted(range(5), key=lambda k: refs[k].key()))
+    # exact quotients come back; refused ones raise on both sides
+    assert agrees(exact_div(p * q, q), tuple_exact_div(rp * rq, rq)) and exact_div(p * q, q) == p
+    assert agrees(exact_div(p * q * r, p * r), rq)
+    two = LaurentPoly.monomial((0,) * n, 2)
+    if p.leading()[1] % 2:   # a leading coefficient that 2 * q cannot divide
+        assert raises_mutation_error(lambda: exact_div(p, q * two))
+        with pytest.raises(ValueError):
+            tuple_exact_div(rp, rq * TupleLaurent({(0,) * n: 2}))
+    pq = rp * rq
+    assume(len(rq.terms) > 1 and pq)
+    below = min(pq.terms)[:-1] + (min(pq.terms)[-1] - 1,)   # lex below every term of p * q
+    assert raises_mutation_error(lambda: exact_div(p * q + LaurentPoly.monomial(below), q))
+    with pytest.raises(ValueError):
+        tuple_exact_div(pq + TupleLaurent({below: 1}), rq)
+
+
+def test_exponents_outside_the_packed_fields_raise():
+    top = mutation._LIMIT
+    x = LaurentPoly.monomial((top, 0))
+    assert x.exponent_terms() == [((top, 0), 1)] and x.bound == top
+    assert LaurentPoly.monomial((0, -top)).exponent_terms() == [((0, -top), 1)]
+    with pytest.raises(MutationError):
+        LaurentPoly.monomial((top + 1, 0))
+    with pytest.raises(MutationError):
+        LaurentPoly({(0, 1): 1, (-top - 1, 0): 3})
+    half = LaurentPoly.monomial((top // 2 + 1, 0))
+    with pytest.raises(MutationError):      # (top + 1, 0) would carry into its neighbour
+        half * half
+    low, high = LaurentPoly.monomial((0, -top // 2 - 1)), LaurentPoly.monomial((0, top // 2 + 1))
+    with pytest.raises(MutationError):      # the quotient (0, -top - 1) leaves its field
+        exact_div(low, high)
+    with pytest.raises(MutationError):
+        exact_div(LaurentPoly.monomial((0, -top)) + LaurentPoly.one(2), LaurentPoly.monomial((0, top)))
 
 
 def test_b_of_coxeter_examples():

@@ -23,6 +23,7 @@ from coxfan.polytope import (
     check_polytopality,
     chamber_point,
     check_simple,
+    cluster_vertices,
     default_f,
     export_json,
     export_off,
@@ -43,6 +44,7 @@ from coxfan.weyl import all_coxeter_elements, coxeter_from_order
 from paper_constructions import (
     folded_inequalities,
     hrep_orbit_groups,
+    polytopality_by_expansion,
     simplicity_in_fractions,
     support_function_in_fractions,
 )
@@ -178,6 +180,45 @@ def test_support_function_agrees_with_the_fraction_reference(label, c):
         vertices(m, hrep)
     assert witness and witness == simplicity_in_fractions(hrep, vrep)
     assert witness.endswith(f": {exc.value}")
+
+
+VERTEX_CASES = SUPPORT_CASES + [(label, coxeter_from_order(make_datum(label), tuple(range(int(label[1:])))))
+                                for label in ("D5", "E6")]
+
+
+@pytest.mark.parametrize("label,c", VERTEX_CASES,
+                         ids=[f"{lab}-{c.render()}" for lab, c in VERTEX_CASES])
+def test_cluster_vertices_equal_the_solved_vertices(label, c):
+    d = make_datum(label)
+    m = build_model(d, c)
+    rng = random.Random(6)
+    for f in [default_f(d)] + [random_valid_f(d, rng) for _ in range(5)]:
+        vrep = cluster_vertices(m, f)
+        solved = solve_vertices(m, build_hrep(m, f))
+        assert vrep.den == lcm(*(x.denominator for x in f.values))
+        assert all(isinstance(x, int) for v in vrep.vertices for x in v)
+        assert tuple(tuple(Fraction(x, vrep.den) for x in v) for v in vrep.vertices) == solved.vertices
+        assert vrep.clusters == solved.clusters
+        assert verify_support_function(m, f, vrep) == verify_support_function(m, f, solved) == (None, [])
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "F4"])
+def test_exchange_rows_give_the_reference_violations(label):
+    d = make_datum(label)
+    m = build_model(d, coxeter_from_order(d, tuple(range(d.n))))
+    rng = random.Random(4)
+    broken = [_broken_f(d), tuple(-x for x in default_f(d).values), (0,) * d.n]
+    for _ in range(5):   # one random node blown up or shrunk
+        f = list(random_valid_f(d, rng).values)
+        f[rng.randrange(d.n)] *= Fraction(rng.choice((1, 10, 100)), rng.choice((1, 10, 100)))
+        broken.append(tuple(f))
+    for f in broken:
+        got = check_polytopality(m, f)
+        assert got == polytopality_by_expansion(m, f)
+        assert [tuple(map(str, v[2:])) for v in got] == [tuple(map(str, v[2:]))
+                                                          for v in polytopality_by_expansion(m, f)]
+    assert check_polytopality(m, _broken_f(d))
+    assert check_polytopality(m, default_f(d).values) == []
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "A1xB2"])

@@ -141,19 +141,20 @@ def test_passing_polytope_details_are_unchanged():
 
 def test_polytope_failures_name_first_f(monkeypatch):
     third = f_texts()[2]
-    true_solve, solved = V.solve_vertices, []
+    true_vertices, solved = V.cluster_vertices, []
 
-    def swap_first_two(model, hrep):
+    def swap_first_two(model, f):
         """The true vertices, except that from the third f on vertices 0 and 1 trade places."""
-        vrep = true_solve(model, hrep)
+        vrep = true_vertices(model, f)
         if len(solved) >= 2:
             verts = list(vrep.vertices)
             verts[0], verts[1] = verts[1], verts[0]
             vrep = dataclasses.replace(vrep, vertices=tuple(verts))
-        solved.append((hrep, vrep))
+        exact = tuple(tuple(Fraction(x, vrep.den) for x in v) for v in vrep.vertices)
+        solved.append((P.build_hrep(model, f), dataclasses.replace(vrep, vertices=exact, den=1)))
         return vrep
 
-    monkeypatch.setattr(V, "solve_vertices", swap_first_two)
+    monkeypatch.setattr(V, "cluster_vertices", swap_first_two)
     ok, detail = polytope_details()["vertices-simple"]
     hrep, vrep = solved[2]
     assert not ok and detail == f"first: {third}: {simplicity_in_fractions(hrep, vrep)}"
