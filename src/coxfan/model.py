@@ -61,8 +61,8 @@ class Label:
 
 class ClusterList(Sequence):
     """Read-only tuples of n small integers in one flat array: a model's clusters
-    (n sorted label ids each), its adjacent cluster pairs (n = 4) and the edges
-    of its polytope (n = 2).
+    (n sorted label ids each), its adjacent cluster pairs (n = 4) and the
+    inverses of its cluster bases (n * n entries each).
 
     Indexing and iteration build each tuple on demand, so the model keeps one
     array of small integers rather than a tuple per item.  It compares equal to
@@ -265,25 +265,29 @@ class ClusterModel:
             self._adjacent = ClusterList(flat, 4)
         return self._adjacent
 
-    def cluster_inverses(self, side: str) -> ClusterList:
-        """The integer inverse of each cluster's basis on one side, "root" or "weight".
+    def cluster_inverses(self, side: str) -> tuple:
+        """Each cluster's basis on one side, "root" or "weight", inverted once: ``(inverses, bad)``.
 
-        Item k is the inverse of the matrix whose columns are cluster k's labels,
-        row-major (n * n entries).  One Bareiss pass over the labels as rows
-        against the identity columns gives the rows of the adjugate of the
-        basis, and det = +-1 makes det times them the exact inverse: clusters
-        are Z-bases, and a cluster that is not raises ``ModelError`` naming it.
+        This is the one place a cluster basis is inverted or its determinant
+        taken.  Item k of ``inverses`` is det times the adjugate of the matrix
+        whose columns are cluster k's labels, row-major (n * n entries), from
+        one Bareiss pass over the labels as rows against the identity columns.
+        Clusters are Z-bases, so det = +-1 and that is the exact inverse.
+        ``bad`` names each cluster where it is not ("cluster [..] has
+        determinant d"); its item is then det**2 times the inverse, whose
+        signs still decide cone membership (zeros when det = 0).
         """
         if side not in self._inverses:
-            flat = []
+            flat, bad = [], []
             eye = identity_mat(self.n)
             for cl in self.clusters():
                 det, rows = bareiss(tuple(getattr(self.labels[k], side) for k in cl), eye)
                 if det not in (1, -1):
-                    raise ModelError(f"cluster {list(cl)} has determinant {det}, not a Z-basis")
-                flat.extend(det * x for row in rows for x in row)
+                    bad.append(f"cluster {list(cl)} has determinant {det}")
+                flat.extend(det * x for row in rows or eye for x in row)
             size = max(map(abs, flat), default=0) + 1
-            self._inverses[side] = ClusterList(array(_typecode(size, signed=True), flat), self.n * self.n)
+            inverses = ClusterList(array(_typecode(size, signed=True), flat), self.n * self.n)
+            self._inverses[side] = inverses, tuple(bad)
         return self._inverses[side]
 
     def exchange_rows(self) -> ClusterList:
@@ -659,7 +663,7 @@ def cone_membership(model: ClusterModel, points):
     first negative coefficient.
     """
     n = model.n
-    inverses = [tuple(zip(*[iter(inv)] * n)) for inv in model.cluster_inverses("root")]
+    inverses = [tuple(zip(*[iter(inv)] * n)) for inv in model.cluster_inverses("root")[0]]
     out = []
     for p in points:
         p = _checked_point(model.n, p)

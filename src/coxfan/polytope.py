@@ -6,7 +6,6 @@ and incidence decisions are exact (integer/Fraction arithmetic only).
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -125,10 +124,9 @@ class HRep:
 
 @dataclass(frozen=True)
 class VRep:
-    vertices: tuple      # Fraction tuples; with den > 1, integer tuples of den times the vertex
+    vertices: tuple        # integer tuples: den times each vertex
     clusters: ClusterList  # defining cluster (label ids) per vertex
-    edges: ClusterList     # index pairs into vertices
-    den: int = 1         # > 1 only from cluster_vertices: a multiple of f's denominators
+    den: int               # > 0; from cluster_vertices, the lcm of the rhs denominators
 
 
 def build_hrep(model: ClusterModel, f: SupportData) -> HRep:
@@ -142,51 +140,42 @@ MISSED_FACET = "vertex misses a defining facet"
 EXTRA_FACET = "vertex is not simple: an extra facet is tight or violated"
 
 
+def _scaled(values, den: int = 1) -> tuple:
+    """``(d, [d * x for x in values])`` in integers, d the lcm of den and the values' denominators."""
+    vals = [Fraction(x) for x in values]
+    d = lcm(den, *(x.denominator for x in vals))
+    return d, [x.numerator * (d // x.denominator) for x in vals]
+
+
 def vertices(model: ClusterModel, hrep: HRep) -> VRep:
     """One exact vertex per cluster; simplicity is asserted, not assumed."""
-    vrep = solve_vertices(model, hrep)
+    vrep = cluster_vertices(model, hrep)
     check_simple(hrep, vrep)
     return vrep
 
 
-def solve_vertices(model: ClusterModel, hrep: HRep) -> VRep:
-    """One vertex per cluster, solved exactly from its defining facets, and the edges.
+def cluster_vertices(model: ClusterModel, hrep: HRep) -> VRep:
+    """One vertex per cluster, as integers over den, the lcm of the right-hand sides' denominators.
 
-    Nothing is checked: the vertex of a cluster lies on that cluster's facets
-    by construction, and whether it lies strictly inside every other facet is
+    Facet k must be label k, as ``build_hrep`` lays them out.  The vertex z of
+    a cluster solves <lambda_k, z> = rhs_k on its labels lambda_k, so
+    den * z = sum_k den * rhs_k * (row k of the inverse of the cluster's weight
+    basis): one integer matrix-vector product per cluster against the model's
+    certified inverses.  Whether z lies strictly inside every other facet is
     left to ``check_simple`` or to ``verify_support_function``.
     """
-    facets = hrep.facets
-    verts = []
-    for cl in model.clusters():
-        rows = tuple(facets[k].normal for k in cl)
-        rhs = tuple(facets[k].rhs for k in cl)
-        v = solve_fraction_free(rows, rhs)
-        verts.append(tuple(Fraction(x) for x in v))
-    pairs = model.adjacent_cluster_pairs().flat
-    edges = array(pairs.typecode)
-    for k in range(0, len(pairs), 4):
-        edges.extend(pairs[k:k + 2])     # (c1, c2); the pairs are sorted, so the edges are too
-    return VRep(tuple(verts), model.clusters(), ClusterList(edges, 2))
-
-
-def cluster_vertices(model: ClusterModel, f: SupportData) -> VRep:
-    """One vertex per cluster for f, as integers over den, the lcm of f's denominators.
-
-    The vertex z of a cluster solves <lambda_k, z> = f(i_k) on its labels
-    lambda_k, so den * z = sum_k den * f(i_k) * (row k of the inverse of the
-    cluster's weight basis): one integer matrix-vector product per cluster
-    against the model's certified inverses.  The VRep has no edges.
-    """
-    den = lcm(*(x.denominator for x in f.values))
-    scaled = [x.numerator * (den // x.denominator) for x in f.values]
-    rhs_of = [scaled[lab.node] for lab in model.labels]
+    inverses, bad = model.cluster_inverses("weight")
+    if bad:
+        raise PolytopeError(f"{bad[0]}, not a Z-basis")
+    if [fa.normal for fa in hrep.facets] != [lab.weight for lab in model.labels]:
+        raise PolytopeError("the facets are not the model's labels in label order")
+    den, rhs_of = _scaled(fa.rhs for fa in hrep.facets)
     n = model.n
     verts = []
-    for cl, inv in zip(model.clusters(), model.cluster_inverses("weight")):
+    for cl, inv in zip(model.clusters(), inverses):
         rhs = [rhs_of[k] for k in cl]
         verts.append(tuple(sum(map(mul, inv[i::n], rhs)) for i in range(n)))
-    return VRep(tuple(verts), model.clusters(), (), den)
+    return VRep(tuple(verts), model.clusters(), den)
 
 
 def check_simple(hrep: HRep, vrep: VRep) -> None:
@@ -197,8 +186,9 @@ def check_simple(hrep: HRep, vrep: VRep) -> None:
     """
     facets = hrep.facets
     for v, cl in zip(vrep.vertices, vrep.clusters):
+        z = tuple(Fraction(x, vrep.den) for x in v)
         for k, fa in enumerate(facets):
-            val = vec_dot(fa.normal, v)
+            val = vec_dot(fa.normal, z)
             if k in cl:
                 if val != fa.rhs:
                     raise PolytopeError(MISSED_FACET)
@@ -209,9 +199,8 @@ def check_simple(hrep: HRep, vrep: VRep) -> None:
 def verify_support_function(model: ClusterModel, f: SupportData, vrep: VRep) -> tuple:
     """Simplicity and the support function, decided from one set of (label, vertex) values.
 
-    The vertices and f are scaled by a common denominator, the lcm of all
-    their denominators or the ``den`` of integer vertices from
-    ``cluster_vertices``, so each pairing is one integer dot product.
+    The vertices and f are scaled to one denominator, the lcm of ``vrep.den``
+    and f's denominators, so each pairing is one integer dot product.
     Returns ``(witness, problems)``:
     ``witness`` is None when every vertex is tight on its cluster's labels and
     strictly below f on the rest, else it names the first vertex (by its
@@ -219,12 +208,9 @@ def verify_support_function(model: ClusterModel, f: SupportData, vrep: VRep) -> 
     ``problems`` names each label whose max_v <v, lambda> is not f(i) or whose
     maximizers are not exactly the clusters containing it.
     """
-    if vrep.den == 1:
-        den = lcm(*(x.denominator for v in vrep.vertices for x in v), *(x.denominator for x in f.values))
-        verts = [tuple(x.numerator * (den // x.denominator) for x in v) for v in vrep.vertices]
-    else:
-        den, verts = vrep.den, vrep.vertices
-    targets = [x.numerator * (den // x.denominator) for x in f.values]
+    den, targets = _scaled(f.values, vrep.den)
+    scale = den // vrep.den
+    verts = vrep.vertices if scale == 1 else [tuple(scale * x for x in v) for v in vrep.vertices]
     containing = [set() for _ in model.labels]
     for k, cl in enumerate(vrep.clusters):
         for idx in cl:
@@ -263,9 +249,7 @@ def check_polytopality(model: ClusterModel, f_values) -> list:
     violations (a, g, lhs, rhs), with lhs and rhs as Fractions, is empty
     exactly when f supports a polytope.
     """
-    vals = tuple(Fraction(v) for v in f_values)
-    den = lcm(*(x.denominator for x in vals))
-    scaled = [x.numerator * (den // x.denominator) for x in vals]
+    den, scaled = _scaled(f_values)
     nodes = [lab.node for lab in model.labels]
     rows = iter(model.exchange_rows())
     violations = []
@@ -326,12 +310,12 @@ def polytopes_equal(model: ClusterModel, f: SupportData):
 
 # --- export ---------------------------------------------------------------------------------
 
-def facet_vertex_cycle(vrep: VRep, facet_label: int) -> list:
-    """Vertex indices around a rank-3 facet, walked along polytope edges."""
-    on_facet = [k for k, cl in enumerate(vrep.clusters) if facet_label in cl]
+def facet_vertex_cycle(model: ClusterModel, facet_label: int) -> list:
+    """Vertex indices around a rank-3 facet, walked along polytope edges (adjacent clusters)."""
+    on_facet = [k for k, cl in enumerate(model.clusters()) if facet_label in cl]
     adj = {k: [] for k in on_facet}
     on = set(on_facet)
-    for (u, v) in vrep.edges:
+    for (u, v, _, _) in model.adjacent_cluster_pairs():
         if u in on and v in on:
             adj[u].append(v)
             adj[v].append(u)
@@ -356,10 +340,10 @@ def export_off(model: ClusterModel, hrep: HRep, vrep: VRep, precision: int = 12)
     if model.n != 3:
         raise PolytopeError("OFF export is defined for rank-3 data only")
     lines = ["OFF"]
-    faces = [facet_vertex_cycle(vrep, lab.index) for lab in model.labels]
-    lines.append(f"{len(vrep.vertices)} {len(faces)} {len(vrep.edges)}")
+    faces = [facet_vertex_cycle(model, lab.index) for lab in model.labels]
+    lines.append(f"{len(vrep.vertices)} {len(faces)} {len(model.adjacent_cluster_pairs())}")
     for v in vrep.vertices:
-        lines.append(" ".join(_decimal(x, precision) for x in v))
+        lines.append(" ".join(_decimal(Fraction(x, vrep.den), precision) for x in v))
     for cyc in faces:
         lines.append(str(len(cyc)) + " " + " ".join(str(k) for k in cyc))
     return "\n".join(lines) + "\n"
@@ -367,7 +351,6 @@ def export_off(model: ClusterModel, hrep: HRep, vrep: VRep, precision: int = 12)
 
 def _decimal(x: Fraction, precision: int) -> str:
     """x to ``precision`` decimals, halves rounded away from zero; an integer at precision 0."""
-    x = Fraction(x)
     scaled = abs(x) * 10**precision
     digits = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
     sign = "-" if x < 0 and digits else ""
@@ -375,11 +358,6 @@ def _decimal(x: Fraction, precision: int) -> str:
         return f"{sign}{digits}"
     whole, frac = divmod(digits, 10**precision)
     return f"{sign}{whole}.{str(frac).rjust(precision, '0')}"
-
-
-def _frac_str(x) -> str:
-    """Exact text of a rational: "p/q", or "p" when q = 1."""
-    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 def export_json(model: ClusterModel, f: SupportData, hrep: HRep, vrep: VRep, write) -> None:
@@ -391,15 +369,15 @@ def export_json(model: ClusterModel, f: SupportData, hrep: HRep, vrep: VRep, wri
     data = {
         "datum": model.datum.label,
         "coxeter": [i + 1 for i in model.c.order],
-        "f": [_frac_str(x) for x in f.values],
+        "f": [str(x) for x in f.values],
         "facets": [
-            {"normal": fa.normal, "rhs": _frac_str(fa.rhs), "label": {"i": fa.tag[0], "m": fa.tag[1]}}
+            {"normal": fa.normal, "rhs": str(fa.rhs), "label": {"i": fa.tag[0], "m": fa.tag[1]}}
             for fa in hrep.facets
         ],
         "vertices": (
-            {"coords": [_frac_str(x) for x in v], "cluster": cl}
+            {"coords": [str(Fraction(x, vrep.den)) for x in v], "cluster": cl}
             for v, cl in zip(vrep.vertices, vrep.clusters)
         ),
-        "edges": iter(vrep.edges),
+        "edges": (pair[:2] for pair in model.adjacent_cluster_pairs()),
     }
     write_json(data, write)

@@ -10,10 +10,10 @@ import random
 from dataclasses import dataclass
 
 from .cartan import CartanDatum, reflect_along, reflect_weight, unit_node, weight_to_root
-from .linalg import bareiss_det
 from .model import BipartiteOracle, ClusterModel, bar_map, build_model, cone_membership, iota_map, sigma_map
 from .mutation import exchange_graph, verify_exchange_relations
 from .polytope import (
+    build_hrep,
     cambrian_rays,
     check_polytopality,
     cluster_vertices,
@@ -49,7 +49,18 @@ def _check(name, ok, detail=""):
     return CheckResult(name, bool(ok), str(detail))
 
 
-SUITES = ("fan", "polytope", "cambrian", "exchange", "sorting", "maps")
+# Suite name -> a call of its function with run_suite's options.  The calls look
+# the suite_* names up when they run, so a function rebound on the module (say,
+# wrapped in a timer) is the one that runs.
+SUITE_CALLS = {
+    "fan": lambda d, c, seed, points, **_: suite_fan(d, c, points=points, seed=seed),
+    "polytope": lambda d, c, seed, random_fs, **_: suite_polytope(d, c, random_fs=random_fs, seed=seed),
+    "cambrian": lambda d, c, **_: suite_cambrian(d, c),
+    "exchange": lambda d, c, **_: suite_exchange(d, c),
+    "sorting": lambda d, c, **_: suite_sorting(d, c),
+    "maps": lambda d, c, seed, **_: suite_maps(d, c, seed=seed),
+}
+SUITES = tuple(SUITE_CALLS)
 
 MAPS_EXHAUSTIVE_RANK = 3   # the maps suite checks every label pair up to this rank
 MAPS_SAMPLES = 400         # and this many random pairs above it
@@ -58,19 +69,9 @@ SORTING_GROUP_CAP = 200    # the sorting suite enumerates W by brute force up to
 
 def run_suite(name: str, datum: CartanDatum, c: CoxeterElement, seed: int,
               points: int, random_fs: int) -> list:
-    if name == "fan":
-        return suite_fan(datum, c, points=points, seed=seed)
-    if name == "polytope":
-        return suite_polytope(datum, c, random_fs=random_fs, seed=seed)
-    if name == "cambrian":
-        return suite_cambrian(datum, c)
-    if name == "exchange":
-        return suite_exchange(datum, c)
-    if name == "sorting":
-        return suite_sorting(datum, c)
-    if name == "maps":
-        return suite_maps(datum, c, seed=seed)
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    if name not in SUITE_CALLS:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    return SUITE_CALLS[name](datum, c, seed=seed, points=points, random_fs=random_fs)
 
 
 # --- fan: Z-bases, unique expansions, completeness -------------------------------------
@@ -79,15 +80,16 @@ def suite_fan(datum: CartanDatum, c: CoxeterElement, points: int = 1000, seed: i
     """Z-bases, covering and disjoint cones, and expansions that match the cone solution.
 
     A failed check's detail ends with its first witness: a cluster, or a
-    sample point with its clusters or its expansion.
+    sample point with its clusters or its expansion.  A cluster that is not a
+    Z-basis ends the suite after its row.
     """
     model = build_model(datum, c)
     clusters = model.clusters()
-    results = []
-    bad_det = [f"cluster {list(cl)} has determinant {det}" for cl in clusters
-               if (det := bareiss_det(tuple(model.labels[k].weight for k in cl))) not in (1, -1)]
-    results.append(_tally("cluster-z-basis", f"{len(clusters)} clusters, {len(bad_det)} non-unimodular",
-                          bad_det))
+    bad_det = model.cluster_inverses("root")[1]   # the pass cone_membership reads
+    results = [_tally("cluster-z-basis", f"{len(clusters)} clusters, {len(bad_det)} non-unimodular",
+                      bad_det)]
+    if bad_det:   # the rows below sample cones and expansions that assume Z-bases
+        return results
 
     rng = random.Random(seed)
     pts = [tuple(rng.randint(-20, 20) for _ in range(datum.n)) for _ in range(points)]
@@ -133,20 +135,25 @@ def suite_fan(datum: CartanDatum, c: CoxeterElement, points: int = 1000, seed: i
 def suite_polytope(datum: CartanDatum, c: CoxeterElement, random_fs: int = 20, seed: int = 0) -> list:
     """Simple vertices, support function and strict exchange inequalities for each f.
 
-    Each f's vertices are integer products with the clusters' inverses, made
-    once per model, and one scaled-integer pass over the (label, vertex)
-    values decides both simplicity and the support function;
-    an f whose vertices are not simple is not checked further.  A failed check
-    names its first f, with the cluster and label, the label or the exchanged
-    label pair that breaks it.
+    Each f's vertices are integer products with the clusters' weight-side
+    inverses, made once per model, and one scaled-integer pass over the
+    (label, vertex) values decides both simplicity and the support function;
+    an f whose vertices are not simple is not checked further.  A failed
+    check names its first f, with the cluster and label, the label or the
+    exchanged label pair that breaks it.  A cluster that is not a Z-basis
+    fails ``vertices-simple`` naming it and its determinant, and ends the suite.
     """
     model = build_model(datum, c)
+    bad_det = model.cluster_inverses("weight")[1]
+    if bad_det:   # the integer vertices below exist only over Z-bases
+        return [_row("vertices-simple", f"{bad_det[0]}, not a Z-basis", None)]
     rng = random.Random(seed)
     fs = [default_f(datum)] + [random_valid_f(datum, rng) for _ in range(random_fs)]
     first = {}   # check name -> its first witness
     for f in fs:
         f_text = "f=" + ",".join(str(x) for x in f.values)
-        not_simple, problems = verify_support_function(model, f, cluster_vertices(model, f))
+        vrep = cluster_vertices(model, build_hrep(model, f))
+        not_simple, problems = verify_support_function(model, f, vrep)
         if not_simple:
             first.setdefault("vertices-simple", f"{f_text}: {not_simple}")
             continue

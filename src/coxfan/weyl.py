@@ -130,7 +130,7 @@ class CoxeterElement:
 def coxeter_from_order(datum: CartanDatum, order) -> CoxeterElement:
     order = tuple(order)
     if sorted(order) != list(range(datum.n)):
-        raise WeylError(f"{order} is not a permutation of the nodes")
+        raise WeylError(f"{tuple(i + 1 for i in order)} is not a permutation of the nodes")
     pos = {i: k for k, i in enumerate(order)}
     orientation = frozenset(
         (i, j) if pos[i] < pos[j] else (j, i) for (i, j) in datum.edges

@@ -3,8 +3,9 @@
 The spacing criterion of the compatibility degree (section 3), the
 conjugation of c to a bipartite element that fixes a leaf (section 4), the
 admissibility cone of f with f(i*) = f(i) folded in, the facets grouped
-by tau-orbit, the support-function and simplicity checks done directly
-in Fractions, the exchange inequalities evaluated F by expansion, the
+by tau-orbit, each vertex solved from its own facets and the
+support-function and simplicity checks done directly in Fractions, the
+exchange inequalities evaluated F by expansion, the
 textbook matrices of the simple reflections, and the tuple-keyed Laurent
 arithmetic that the packed ``mutation.LaurentPoly`` must agree with.
 The library itself needs none of them, so they live here, next to the
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from coxfan.cartan import CartanDatum
-from coxfan.linalg import vec_dot
+from coxfan.linalg import solve_fraction_free, vec_dot
 from coxfan.model import ClusterModel
 from coxfan.polytope import HRep, PolytopeError, SupportData, VRep, check_simple, f_conditions
 from coxfan.weyl import CoxeterElement, WeylElement, WeylError, bipartite_coxeter, elementary_move
@@ -74,16 +75,31 @@ def hrep_orbit_groups(model: ClusterModel, hrep: HRep):
     return tuple(groups)
 
 
+def solve_vertices(model: ClusterModel, hrep: HRep) -> tuple:
+    """One Fraction vertex per cluster, solved from that cluster's facets by
+    ``linalg.solve_fraction_free``: the reference that ``polytope.cluster_vertices``
+    must equal over its ``den``."""
+    facets = hrep.facets
+    return tuple(solve_fraction_free(tuple(facets[k].normal for k in cl), tuple(facets[k].rhs for k in cl))
+                 for cl in model.clusters())
+
+
+def fraction_vertices(vrep: VRep) -> tuple:
+    """The vertices of a VRep as Fraction tuples."""
+    return tuple(tuple(Fraction(x, vrep.den) for x in v) for v in vrep.vertices)
+
+
 def support_function_in_fractions(model: ClusterModel, f: SupportData, vrep: VRep) -> list:
     """The support-function check in Fractions, one label at a time: the reference
     that ``polytope.verify_support_function`` must agree with, problem for problem."""
     problems = []
+    verts = fraction_vertices(vrep)
     for lab in model.labels:
-        best = max(vec_dot(v, lab.weight) for v in vrep.vertices)
+        best = max(vec_dot(v, lab.weight) for v in verts)
         if best != f[lab.node]:
             problems.append(f"support value of label {lab.index} is {best}, expected f({lab.node + 1})")
             continue
-        argmax = {k for k, v in enumerate(vrep.vertices) if vec_dot(v, lab.weight) == best}
+        argmax = {k for k, v in enumerate(verts) if vec_dot(v, lab.weight) == best}
         containing = {k for k, cl in enumerate(vrep.clusters) if lab.index in cl}
         if argmax != containing:
             problems.append(f"maximizers of label {lab.index} are not its clusters")
@@ -99,7 +115,7 @@ def simplicity_in_fractions(hrep: HRep, vrep: VRep):
     facets.  Facet k is label k, as ``build_hrep`` lays them out.
     """
     for v, cl in zip(vrep.vertices, vrep.clusters):
-        one = VRep((v,), (cl,), ())
+        one = VRep((v,), (cl,), vrep.den)
         try:
             check_simple(hrep, one)
         except PolytopeError:

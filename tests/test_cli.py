@@ -8,8 +8,11 @@ from fractions import Fraction
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from coxfan.cli import main
+
+from paper_constructions import fraction_vertices
 
 
 def run(capsys, *argv):
@@ -87,6 +90,13 @@ def test_bad_label_exit_2(capsys):
 def test_bad_coxeter_exit_2(capsys):
     code, _, err = run(capsys, "orbits", "A3", "--coxeter", "1,1,2")
     assert code == 2
+
+
+@pytest.mark.parametrize("order", ["1,2,4", "0,1,2", "1,1,2"])
+def test_bad_coxeter_order_is_named_as_given(capsys, order):
+    code, out, err = run(capsys, "compat", "A3", "--coxeter", order)
+    assert (code, out) == (2, "")
+    assert err == f"error: ({order.replace(',', ', ')}) is not a permutation of the nodes\n"
 
 
 def test_all_coxeter_and_coxeter_exclude_each_other(capsys):
@@ -419,9 +429,9 @@ def test_polytope_json_round_trips_to_exact_vertices():
         data = json.loads(sink.getvalue())
         assert [(tuple(fa["normal"]), Fraction(fa["rhs"]), (fa["label"]["i"], fa["label"]["m"]))
                 for fa in data["facets"]] == [(fa.normal, fa.rhs, fa.tag) for fa in hrep.facets]
-        assert tuple(tuple(Fraction(x) for x in v["coords"]) for v in data["vertices"]) == vrep.vertices
+        assert tuple(tuple(Fraction(x) for x in v["coords"]) for v in data["vertices"]) == fraction_vertices(vrep)
         assert tuple(tuple(v["cluster"]) for v in data["vertices"]) == vrep.clusters
-        assert tuple(tuple(e) for e in data["edges"]) == vrep.edges
+        assert tuple(tuple(e) for e in data["edges"]) == tuple(p[:2] for p in model.adjacent_cluster_pairs())
 
     check()
 

@@ -422,7 +422,9 @@ def test_expansion_agrees_with_cone_solution():
 
 def inverse_matrices(model, side):
     """model.cluster_inverses(side) with each flat row-major inverse as a tuple of rows."""
-    return [tuple(zip(*[iter(inv)] * model.n)) for inv in model.cluster_inverses(side)]
+    inverses, bad = model.cluster_inverses(side)
+    assert bad == ()
+    return [tuple(zip(*[iter(inv)] * model.n)) for inv in inverses]
 
 
 CONE_TYPES = ("A1", "A2", "A3", "B2", "C3", "G2", "A4", "D4", "F4", "B4", "D5", "E6", "E7", "E8")
@@ -454,12 +456,20 @@ def test_cone_inverses_match_the_gauss_jordan_inverse(label, monkeypatch):
 
 
 def test_cone_inverses_refuse_a_basis_that_is_not_unimodular(monkeypatch):
+    """Every cluster holding a doubled root label is reported with its determinant,
+    and its item is det**2 times its inverse: the signs still decide membership."""
     m = ClusterModel(A3, coxeter_from_order(A3, (0, 1, 2)))
-    first = next(cl for cl in m.clusters() if 0 in cl)
+    holding = [k for k, cl in enumerate(m.clusters()) if 0 in cl]
     doubled = dataclasses.replace(m.labels[0], root=tuple(2 * x for x in m.labels[0].root))
     monkeypatch.setattr(m, "labels", (doubled,) + m.labels[1:])
-    with pytest.raises(ModelError, match=re.escape(f"cluster {list(first)} has determinant ")):
-        m.cluster_inverses("root")
+    inverses, bad = m.cluster_inverses("root")
+    dets = [bareiss_det(tuple(m.labels[i].root for i in m.clusters()[k])) for k in holding]
+    assert [abs(d) for d in dets] == [2] * len(holding)
+    assert bad == tuple(f"cluster {list(m.clusters()[k])} has determinant {d}" for k, d in zip(holding, dets))
+    for k in holding:
+        basis = tuple(zip(*(m.labels[i].root for i in m.clusters()[k])))
+        assert mat_mul(basis, tuple(zip(*[iter(inverses[k])] * 3))) == tuple(
+            tuple(4 * x for x in row) for row in identity_mat(3))
 
 
 def test_weight_inverses_refuse_a_doubled_weight_label(monkeypatch):
@@ -467,9 +477,20 @@ def test_weight_inverses_refuse_a_doubled_weight_label(monkeypatch):
     first = next(cl for cl in m.clusters() if 0 in cl)
     doubled = dataclasses.replace(m.labels[0], weight=tuple(2 * x for x in m.labels[0].weight))
     monkeypatch.setattr(m, "labels", (doubled,) + m.labels[1:])
-    with pytest.raises(ModelError, match=re.escape(f"cluster {list(first)} has determinant ") + r"-?2, "):
-        m.cluster_inverses("weight")
-    m.cluster_inverses("root")     # the root side is untouched
+    bad = m.cluster_inverses("weight")[1]
+    assert re.fullmatch(re.escape(f"cluster {list(first)} has determinant ") + "-?2", bad[0])
+    assert m.cluster_inverses("root")[1] == ()     # the root side is untouched
+
+
+def test_a_singular_cluster_gets_a_zero_item(monkeypatch):
+    m = ClusterModel(A3, coxeter_from_order(A3, (0, 1, 2)))
+    holding = [k for k, cl in enumerate(m.clusters()) if 0 in cl]
+    zero = dataclasses.replace(m.labels[0], root=(0, 0, 0))
+    monkeypatch.setattr(m, "labels", (zero,) + m.labels[1:])
+    inverses, bad = m.cluster_inverses("root")
+    assert len(inverses) == len(m.clusters())
+    assert bad == tuple(f"cluster {list(m.clusters()[k])} has determinant 0" for k in holding)
+    assert all(set(inverses[k]) == {0} for k in holding)
 
 
 def test_cone_membership_is_exact_past_int64():

@@ -4,13 +4,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
 from coxfan.cartan import make_datum
-from coxfan.model import build_model
+from coxfan.model import ClusterModel, build_model
 from coxfan.polytope import (
     EXTRA_FACET,
     MISSED_FACET,
@@ -32,7 +33,6 @@ from coxfan.polytope import (
     polytopes_equal,
     random_valid_f,
     render_condition,
-    solve_vertices,
     vertices,
     verify_support_function,
     violated_condition,
@@ -43,9 +43,11 @@ from coxfan.weyl import all_coxeter_elements, coxeter_from_order
 
 from paper_constructions import (
     folded_inequalities,
+    fraction_vertices,
     hrep_orbit_groups,
     polytopality_by_expansion,
     simplicity_in_fractions,
+    solve_vertices,
     support_function_in_fractions,
 )
 
@@ -132,7 +134,7 @@ def test_a1_segment():
     hrep = build_hrep(m, f)
     assert [(fa.normal, fa.rhs) for fa in hrep.facets] == [((1,), Fraction(1, 2)), ((-1,), Fraction(1, 2))]
     v = vertices(m, hrep)
-    assert sorted(v.vertices) == [(Fraction(-1, 2),), (Fraction(1, 2),)]
+    assert sorted(fraction_vertices(v)) == [(Fraction(-1, 2),), (Fraction(1, 2),)]
 
 
 def test_counts_and_euler():
@@ -141,7 +143,7 @@ def test_counts_and_euler():
         f = default_f(model.datum)
         hrep = build_hrep(model, f)
         vrep = vertices(model, hrep)
-        V, F, E = len(vrep.vertices), len(hrep.facets), len(vrep.edges)
+        V, F, E = len(vrep.vertices), len(hrep.facets), len(model.adjacent_cluster_pairs())
         assert (V, F, E) == expected
         if model.n == 3:
             assert V - E + F == 2
@@ -167,14 +169,14 @@ def test_support_function_agrees_with_the_fraction_reference(label, c):
     rng = random.Random(5)
     for f in [default_f(d)] + [random_valid_f(d, rng) for _ in range(5)]:
         hrep = build_hrep(m, f)
-        vrep = solve_vertices(m, hrep)
+        vrep = cluster_vertices(m, hrep)
         assert vertices(m, hrep) == vrep     # the Fraction check passes: the vertices are simple
         assert verify_support_function(m, f, vrep) == (None, support_function_in_fractions(m, f, vrep)) \
             == (simplicity_in_fractions(hrep, vrep), [])
     # An f outside the admissible cone: both checks reject, at the same vertex and label.
     f = SupportData(tuple(Fraction(x) for x in _broken_f(d)))
     hrep = build_hrep(m, f)
-    vrep = solve_vertices(m, hrep)
+    vrep = cluster_vertices(m, hrep)
     witness = verify_support_function(m, f, vrep)[0]
     with pytest.raises(PolytopeError) as exc:
         vertices(m, hrep)
@@ -193,13 +195,46 @@ def test_cluster_vertices_equal_the_solved_vertices(label, c):
     m = build_model(d, c)
     rng = random.Random(6)
     for f in [default_f(d)] + [random_valid_f(d, rng) for _ in range(5)]:
-        vrep = cluster_vertices(m, f)
-        solved = solve_vertices(m, build_hrep(m, f))
+        hrep = build_hrep(m, f)
+        vrep = cluster_vertices(m, hrep)
         assert vrep.den == lcm(*(x.denominator for x in f.values))
         assert all(isinstance(x, int) for v in vrep.vertices for x in v)
-        assert tuple(tuple(Fraction(x, vrep.den) for x in v) for v in vrep.vertices) == solved.vertices
-        assert vrep.clusters == solved.clusters
-        assert verify_support_function(m, f, vrep) == verify_support_function(m, f, solved) == (None, [])
+        assert fraction_vertices(vrep) == solve_vertices(m, hrep)
+        assert vrep.clusters == m.clusters()
+        assert verify_support_function(m, f, vrep) == (None, [])
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "A1xB2"])
+def test_cluster_vertices_follow_a_lowered_right_hand_side(label):
+    """One facet moved inwards by 1/7: the vertices still equal the solved ones,
+    over the new common denominator."""
+    d = make_datum(label)
+    m = build_model(d, coxeter_from_order(d, tuple(range(d.n))))
+    facets = list(build_hrep(m, default_f(d)).facets)
+    facets[1] = dataclasses.replace(facets[1], rhs=facets[1].rhs - Fraction(1, 7))
+    hrep = dataclasses.replace(build_hrep(m, default_f(d)), facets=tuple(facets))
+    vrep = cluster_vertices(m, hrep)
+    assert vrep.den == lcm(*(fa.rhs.denominator for fa in facets)) and vrep.den % 7 == 0
+    assert fraction_vertices(vrep) == solve_vertices(m, hrep)
+    assert vrep != cluster_vertices(m, build_hrep(m, default_f(d)))
+
+
+def test_cluster_vertices_refuse_a_cluster_that_is_not_a_z_basis(monkeypatch):
+    m = ClusterModel(A3, coxeter_from_order(A3, (0, 1, 2)))
+    hrep = build_hrep(m, default_f(A3))
+    first = next(cl for cl in m.clusters() if 0 in cl)
+    doubled = dataclasses.replace(m.labels[0], weight=tuple(2 * x for x in m.labels[0].weight))
+    monkeypatch.setattr(m, "labels", (doubled,) + m.labels[1:])
+    message = re.escape(f"cluster {list(first)} has determinant ") + "-?2, not a Z-basis$"
+    with pytest.raises(PolytopeError, match=message):
+        vertices(m, hrep)
+
+
+def test_cluster_vertices_refuse_facets_that_are_not_the_labels():
+    hrep = build_hrep(MA3, default_f(A3))
+    for facets in (hrep.facets[1:] + hrep.facets[:1], hrep.facets[:-1]):
+        with pytest.raises(PolytopeError, match="the facets are not the model's labels"):
+            cluster_vertices(MA3, dataclasses.replace(hrep, facets=facets))
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "F4"])
@@ -227,14 +262,13 @@ def test_tampered_support_data_gives_the_reference_problems(label):
     m = build_model(d, coxeter_from_order(d, tuple(range(d.n))))
     f = random_valid_f(d, random.Random(2))
     vrep = vertices(m, build_hrep(m, f))
-    den = lcm(*(x.denominator for v in vrep.vertices for x in v), *(x.denominator for x in f.values))
     # One coordinate of one vertex moves by half a unit of the common denominator,
     # outwards for a label through it: that label's support value leaves the grid.
-    verts = list(vrep.vertices)
+    verts = [tuple(2 * x for x in v) for v in vrep.vertices]
     w = m.labels[vrep.clusters[3][0]].weight
     j = next(j for j, x in enumerate(w) if x)
-    verts[3] = tuple(x + (k == j) * Fraction(w[j], 2 * abs(w[j]) * den) for k, x in enumerate(verts[3]))
-    moved = dataclasses.replace(vrep, vertices=tuple(verts))
+    verts[3] = tuple(x + (k == j) * (1 if w[j] > 0 else -1) for k, x in enumerate(verts[3]))
+    moved = dataclasses.replace(vrep, vertices=tuple(verts), den=2 * vrep.den)
     # One label's f value changes while the vertices stay put.
     node = m.labels[-1].node
     raised = SupportData(tuple(x + (k == node) for k, x in enumerate(f.values)))
@@ -267,16 +301,17 @@ def test_tampered_vertices_fail_simplicity_like_the_fraction_check(label):
     m = build_model(d, coxeter_from_order(d, tuple(range(d.n))))
     f = random_valid_f(d, random.Random(3))
     hrep = build_hrep(m, f)
-    vrep = solve_vertices(m, hrep)
+    vrep = cluster_vertices(m, hrep)
     k, k2, a, b = edge_toward_lower_label(m)
     v, w = vrep.vertices[k], vrep.vertices[k2]
 
     def moved_to(t):
         """Vertex k moved along its edge to v + t (w - v): the other labels of
-        cluster k stay tight, a goes slack, and b is tight at t = 1."""
-        verts = list(vrep.vertices)
-        verts[k] = tuple(x + t * (y - x) for x, y in zip(v, w))
-        return dataclasses.replace(vrep, vertices=tuple(verts))
+        cluster k stay tight, a goes slack, and b is tight at t = 1.  Every t
+        here is a multiple of 1/100, so the vertices stay integers over 100 den."""
+        verts = [tuple(100 * x for x in u) for u in vrep.vertices]
+        verts[k] = tuple(100 * x + int(100 * t) * (y - x) for x, y in zip(v, w))
+        return dataclasses.replace(vrep, vertices=tuple(verts), den=100 * vrep.den)
 
     # onto label b (not one of cluster k's), across it, and off label a (one of cluster k's)
     for t, kind, j in ((Fraction(1), EXTRA_FACET, b), (Fraction(101, 100), EXTRA_FACET, b),
@@ -366,11 +401,11 @@ def test_facet_cycles_closed_and_planar():
     hrep = build_hrep(MC3, f)
     vrep = vertices(MC3, hrep)
     for lab in MC3.labels:
-        cycle = facet_vertex_cycle(vrep, lab.index)
+        cycle = facet_vertex_cycle(MC3, lab.index)
         assert len(cycle) == len(set(cycle)) >= 3
         for k in cycle:
-            assert vec_dot(vrep.vertices[k], lab.weight) == f[lab.node]
-        edge_set = {tuple(sorted(e)) for e in vrep.edges}
+            assert Fraction(vec_dot(vrep.vertices[k], lab.weight), vrep.den) == f[lab.node]
+        edge_set = {(c1, c2) for c1, c2, _, _ in MC3.adjacent_cluster_pairs()}
         for u, v in zip(cycle, cycle[1:] + cycle[:1]):
             assert tuple(sorted((u, v))) in edge_set
 
@@ -384,9 +419,9 @@ def test_json_round_trip():
     data = json.loads("".join(parts))
     assert [Facet(tuple(fa["normal"]), Fraction(fa["rhs"]), (fa["label"]["i"], fa["label"]["m"]))
             for fa in data["facets"]] == list(hrep.facets)
-    assert tuple(tuple(Fraction(x) for x in v["coords"]) for v in data["vertices"]) == vrep.vertices
+    assert tuple(tuple(Fraction(x) for x in v["coords"]) for v in data["vertices"]) == fraction_vertices(vrep)
     assert tuple(tuple(v["cluster"]) for v in data["vertices"]) == vrep.clusters
-    assert tuple(tuple(e) for e in data["edges"]) == vrep.edges
+    assert tuple(tuple(e) for e in data["edges"]) == tuple(p[:2] for p in MA3.adjacent_cluster_pairs())
 
 
 def test_orbit_shares_rhs():
@@ -413,8 +448,9 @@ def test_reducible_polytope_prism():
     hrep = build_hrep(m, f)
     vrep = vertices(m, hrep)
     # segment x pentagon: 2*5 vertices, 2+5 facets, 5 + 2*5 edges
-    assert (len(vrep.vertices), len(hrep.facets), len(vrep.edges)) == (10, 7, 15)
-    assert len(vrep.vertices) - len(vrep.edges) + len(hrep.facets) == 2
+    edges = len(m.adjacent_cluster_pairs())
+    assert (len(vrep.vertices), len(hrep.facets), edges) == (10, 7, 15)
+    assert len(vrep.vertices) - edges + len(hrep.facets) == 2
     assert verify_support_function(m, f, vrep) == (None, [])
     assert check_polytopality(m, f.values) == []
     ok, witness = polytopes_equal(m, f)

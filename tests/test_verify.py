@@ -16,7 +16,7 @@ import coxfan.polytope as P
 import coxfan.verify as V
 from coxfan.cartan import make_datum
 from coxfan.cli import main
-from coxfan.model import BipartiteOracle, build_model
+from coxfan.model import BipartiteOracle, ClusterModel, build_model
 from coxfan.polytope import default_f, random_valid_f
 from coxfan.weyl import WeylElement, all_coxeter_elements, coxeter_from_order
 
@@ -72,14 +72,31 @@ def test_wrong_expansion_names_first_point(monkeypatch):
                       "whose labels are not pairwise compatible")
 
 
+def doubled_label_model(k):
+    """A fresh A3 model of s1s2s3 whose label k has twice its weight and twice its root."""
+    model = ClusterModel(A3, C_A3)
+    model.clusters()
+    lab = model.labels[k]
+    doubled = dataclasses.replace(lab, weight=tuple(2 * x for x in lab.weight),
+                                  root=tuple(2 * x for x in lab.root))
+    model.labels = model.labels[:k] + (doubled,) + model.labels[k + 1:]
+    return model
+
+
+@pytest.mark.parametrize("suite,row,detail", [
+    ("fan", "cluster-z-basis", "14 clusters, 4 non-unimodular; first: cluster [1, 5, 7] has determinant -2"),
+    ("polytope", "vertices-simple", "first: cluster [1, 5, 7] has determinant 2, not a Z-basis"),
+])
+def test_a_cluster_that_is_not_a_z_basis_fails_its_row(suite, row, detail, monkeypatch, capsys):
+    monkeypatch.setattr(V, "build_model", lambda datum, c: doubled_label_model(5))
+    code = main(["verify", "A3", "--suite", suite])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert out == f"[FAIL] A3 c=s1s2s3 {suite}/{row}: {detail}\nFAILED\n"
+
+
 def test_cone_failures_name_first_witness(monkeypatch):
     model = build_model(A3, C_A3)
-    first = list(model.clusters()[0])
-    monkeypatch.setattr(V, "bareiss_det", lambda m: 2)
-    ok, detail = fan_details()["cluster-z-basis"]
-    assert not ok
-    assert detail == f"14 clusters, 14 non-unimodular; first: cluster {first} has determinant 2"
-
     true_membership = V.cone_membership
 
     def tampered(model, points):
@@ -143,15 +160,14 @@ def test_polytope_failures_name_first_f(monkeypatch):
     third = f_texts()[2]
     true_vertices, solved = V.cluster_vertices, []
 
-    def swap_first_two(model, f):
+    def swap_first_two(model, hrep):
         """The true vertices, except that from the third f on vertices 0 and 1 trade places."""
-        vrep = true_vertices(model, f)
+        vrep = true_vertices(model, hrep)
         if len(solved) >= 2:
             verts = list(vrep.vertices)
             verts[0], verts[1] = verts[1], verts[0]
             vrep = dataclasses.replace(vrep, vertices=tuple(verts))
-        exact = tuple(tuple(Fraction(x, vrep.den) for x in v) for v in vrep.vertices)
-        solved.append((P.build_hrep(model, f), dataclasses.replace(vrep, vertices=exact, den=1)))
+        solved.append((hrep, vrep))
         return vrep
 
     monkeypatch.setattr(V, "cluster_vertices", swap_first_two)
